@@ -1,18 +1,29 @@
-"""Plan execution on base tables and on aligned samples, with selectivity estimators.
+"""Selectivity estimators and exact counts, all served by one counting engine.
 
-Joins have nested-loop semantics: every pair of child rows satisfying the
-condition, ordered lexicographically by source ordinals. Large inputs take
-vectorized fast paths (blocked comparisons, and a hash join for equality
-conditions) that produce the identical ordered output.
+No estimator builds a join result; each counts.
 
-The index-aligned estimator runs the plan on the sample tables and counts
-only result rows whose sampleindex values all agree, then divides by the
-sample size; the practitioner estimator counts the whole result and divides
-by s^l for l leaf tables.
+- The index-aligned estimate is the number of sampleindex values i whose
+  i-th rows satisfy the plan, divided by the sample size s. With every sample
+  table's rows in sampleindex order, that is one boolean mask of length s per
+  leaf predicate and per join condition, ANDed together: O(s * u).
+- A plan's join graph is a tree: u leaves joined by u - 1 conditions. The
+  practitioner estimate (all sample combinations that satisfy the plan,
+  divided by s^u) and the exact cardinality on the base tables are weighted
+  counts up that tree (Yannakakis, "Algorithms for Acyclic Database
+  Schemes", VLDB 1981). Per edge, the child's join values are sorted once and
+  a binary search per parent row finds the weight of its matches, which
+  multiplies into the parent's weights. Counts are exact integers: int64
+  while the product of the filtered leaf sizes fits, Python ints beyond.
+
+`execute_plan` is the reference implementation the counts are tested
+against. It builds the full result with nested-loop semantics: every pair of
+child rows satisfying the condition, ordered lexicographically by source
+ordinals.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -21,12 +32,15 @@ import numpy as np
 from .queries import (
     And,
     BoolExpr,
+    ColumnRef,
     ComparisonOp,
     JoinCondition,
+    JoinNode,
     QueryPlan,
     SelectLeaf,
     SelectionClause,
     leaf_tables,
+    subplans,
 )
 from .sampling import SampleDatabase
 from .tables import Table, TupleRef
@@ -52,9 +66,6 @@ _NP_OPS = {
     ComparisonOp.EQ: np.equal,
     ComparisonOp.NE: np.not_equal,
 }
-
-# Max boolean cells materialized per join comparison block.
-_MATRIX_CELLS = 4_000_000
 
 
 @dataclass
@@ -90,13 +101,12 @@ class EstimateRecord:
 class _Frame:
     """Uniform execution view over a base table or a sample table."""
 
-    __slots__ = ("name", "col_index", "matrix", "sampleindex", "n")
+    __slots__ = ("name", "col_index", "matrix", "n")
 
-    def __init__(self, name, columns, matrix, sampleindex=None):
+    def __init__(self, name, columns, matrix):
         self.name = name
         self.col_index = {c: i for i, c in enumerate(columns)}
         self.matrix = matrix
-        self.sampleindex = sampleindex
         self.n = matrix.shape[0]
 
     def col(self, name: str) -> np.ndarray:
@@ -106,22 +116,31 @@ class _Frame:
             raise LookupError(f"table {self.name!r} has no column {name!r}") from None
 
 
-def _frames(db: Database) -> dict[str, _Frame]:
+def _frames(db: Database, plan: QueryPlan, *, aligned: bool = False) -> dict[str, _Frame]:
+    """Views of the tables the plan reads, after checking that the plan fits them.
+
+    With `aligned`, sample rows are in sampleindex order, so row i of every
+    frame belongs to the same aligned draw.
+    """
     if isinstance(db, SampleDatabase):
-        return {
-            st.base: _Frame(st.base, st.columns, st.matrix(), st.index_array())
-            for st in db.tables
+        sources = {
+            st.base: (st.columns, st.aligned_matrix if aligned else st.matrix) for st in db.tables
         }
+    else:
+        sources = {t.name: (t.column_names, t.matrix) for t in db}
+    names = leaf_tables(plan)
     frames = {}
-    for t in db:
-        frames[t.name] = _Frame(t.name, t.column_names, t.matrix())
+    for name in names:
+        if name not in sources:
+            raise LookupError(f"table {name!r} is not present in the database")
+        columns, matrix = sources[name]
+        frames[name] = _Frame(name, columns, matrix())
+    if len(frames) != len(names):
+        raise ValueError("a table appears twice in the plan; self-joins are not supported")
+    for node in subplans(plan):
+        if isinstance(node, JoinNode):
+            _oriented(node.condition, leaf_tables(node.left), leaf_tables(node.right))
     return frames
-
-
-def _check_tables(plan: QueryPlan, frames: dict[str, _Frame]) -> None:
-    for t in leaf_tables(plan):
-        if t not in frames:
-            raise LookupError(f"table {t!r} is not present in the database")
 
 
 def _mask(expr: BoolExpr | None, frame: _Frame) -> np.ndarray:
@@ -132,39 +151,6 @@ def _mask(expr: BoolExpr | None, frame: _Frame) -> np.ndarray:
     if isinstance(expr, And):
         return _mask(expr.left, frame) & _mask(expr.right, frame)
     return _mask(expr.left, frame) | _mask(expr.right, frame)
-
-
-def _match_pairs(
-    lv: np.ndarray, rv: np.ndarray, op: ComparisonOp
-) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (i, j) with lv[i] op rv[j], in lexicographic (i, j) order."""
-    nl, nr = lv.size, rv.size
-    if nl == 0 or nr == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    if nl * nr <= _MATRIX_CELLS:
-        li, rj = np.nonzero(_NP_OPS[op](lv[:, None], rv[None, :]))
-        return li, rj
-    if op is ComparisonOp.EQ:
-        positions: dict[int, list[int]] = {}
-        for j, v in enumerate(rv.tolist()):
-            positions.setdefault(v, []).append(j)
-        li_list: list[int] = []
-        rj_list: list[int] = []
-        for i, v in enumerate(lv.tolist()):
-            js = positions.get(v)
-            if js:
-                li_list.extend([i] * len(js))
-                rj_list.extend(js)
-        return np.asarray(li_list, dtype=np.int64), np.asarray(rj_list, dtype=np.int64)
-    chunk = max(1, _MATRIX_CELLS // nr)
-    parts_i = []
-    parts_j = []
-    for start in range(0, nl, chunk):
-        li, rj = np.nonzero(_NP_OPS[op](lv[start : start + chunk, None], rv[None, :]))
-        parts_i.append(li + start)
-        parts_j.append(rj)
-    return np.concatenate(parts_i), np.concatenate(parts_j)
 
 
 def _oriented(
@@ -182,6 +168,11 @@ def _oriented(
     )
 
 
+# ---------------------------------------------------------------------------
+# Reference implementation
+# ---------------------------------------------------------------------------
+
+
 def _component_values(rs: ResultSet, table: str, column: str, frames) -> np.ndarray:
     if not rs.rows:
         return np.empty(0, dtype=np.int64)
@@ -190,63 +181,129 @@ def _component_values(rs: ResultSet, table: str, column: str, frames) -> np.ndar
     return frames[table].col(column)[ordinals]
 
 
-def _exec_leaf(leaf: SelectLeaf, frames) -> ResultSet:
-    ordinals = np.flatnonzero(_mask(leaf.predicate, frames[leaf.table]))
-    return ResultSet((leaf.table,), [(o,) for o in ordinals.tolist()])
-
-
-def _exec_join(left: ResultSet, right: ResultSet, cond: JoinCondition, frames) -> ResultSet:
-    lt, lc, rt, rc, op = _oriented(cond, left.tables, right.tables)
+def _exec(plan: QueryPlan, frames) -> ResultSet:
+    if isinstance(plan, SelectLeaf):
+        ordinals = np.flatnonzero(_mask(plan.predicate, frames[plan.table]))
+        return ResultSet((plan.table,), [(o,) for o in ordinals.tolist()])
+    left = _exec(plan.left, frames)
+    right = _exec(plan.right, frames)
+    lt, lc, rt, rc, op = _oriented(plan.condition, left.tables, right.tables)
     lv = _component_values(left, lt, lc, frames)
     rv = _component_values(right, rt, rc, frames)
-    li, rj = _match_pairs(lv, rv, op)
+    li, rj = np.nonzero(_NP_OPS[op](lv[:, None], rv[None, :]))
     rows = [left.rows[i] + right.rows[j] for i, j in zip(li.tolist(), rj.tolist())]
     return ResultSet(left.tables + right.tables, rows)
 
 
-def _exec(plan: QueryPlan, frames) -> ResultSet:
-    if isinstance(plan, SelectLeaf):
-        return _exec_leaf(plan, frames)
-    return _exec_join(_exec(plan.left, frames), _exec(plan.right, frames), plan.condition, frames)
-
-
 def execute_plan(db: Database, plan: QueryPlan) -> ResultSet:
     """Run a plan: filter at the leaves, join at internal nodes, deterministic order."""
-    frames = _frames(db)
-    _check_tables(plan, frames)
-    return _exec(plan, frames)
+    return _exec(plan, _frames(db, plan))
 
 
-def _count_pairs(a: np.ndarray, b: np.ndarray, op: ComparisonOp) -> int:
-    """Number of pairs (x, y) in a x b with x op y, without materializing them."""
-    if a.size == 0 or b.size == 0:
-        return 0
-    sa = np.sort(a)
-    if op is ComparisonOp.EQ or op is ComparisonOp.NE:
-        lo = np.searchsorted(sa, b, side="left")
-        hi = np.searchsorted(sa, b, side="right")
-        eq = int((hi - lo).sum())
-        return eq if op is ComparisonOp.EQ else a.size * b.size - eq
+# ---------------------------------------------------------------------------
+# Counting engine
+# ---------------------------------------------------------------------------
+
+
+def _weight_below(sv: np.ndarray, cum: np.ndarray | None, pv: np.ndarray, side: str):
+    """Per parent value x, the weight of child values < x (side "left") or <= x ("right")."""
+    idx = np.searchsorted(sv, pv, side=side)
+    return idx if cum is None else cum[idx]
+
+
+def _matches(pv: np.ndarray, cv: np.ndarray, cw: np.ndarray | None, op: ComparisonOp):
+    """Per parent value x, the total weight of child rows y with x op y.
+
+    `cw` None means every child row weighs 1, which needs no cumulative sum.
+    """
+    if cw is None:
+        sv, cum, total = np.sort(cv), None, cv.size
+    else:
+        order = np.argsort(cv)
+        sv = cv[order]
+        cum = np.concatenate((np.zeros(1, dtype=cw.dtype), np.cumsum(cw[order])))
+        total = cum[-1]
     if op is ComparisonOp.LT:
-        return int(np.searchsorted(sa, b, side="left").sum())
+        return total - _weight_below(sv, cum, pv, "right")
     if op is ComparisonOp.LE:
-        return int(np.searchsorted(sa, b, side="right").sum())
+        return total - _weight_below(sv, cum, pv, "left")
     if op is ComparisonOp.GT:
-        return int((a.size - np.searchsorted(sa, b, side="right")).sum())
-    return int((a.size - np.searchsorted(sa, b, side="left")).sum())
+        return _weight_below(sv, cum, pv, "left")
+    if op is ComparisonOp.GE:
+        return _weight_below(sv, cum, pv, "right")
+    eq = _weight_below(sv, cum, pv, "right") - _weight_below(sv, cum, pv, "left")
+    return eq if op is ComparisonOp.EQ else total - eq
 
 
-def _exact_count(plan: QueryPlan, frames) -> int:
-    if isinstance(plan, SelectLeaf):
-        return int(np.count_nonzero(_mask(plan.predicate, frames[plan.table])))
-    if isinstance(plan.left, SelectLeaf) and isinstance(plan.right, SelectLeaf):
-        # Two-leaf joins are counted without materializing the pair set.
-        # _oriented pins lt/rt to the left/right subtree respectively.
-        lt, lc, rt, rc, op = _oriented(plan.condition, (plan.left.table,), (plan.right.table,))
-        lv = frames[lt].col(lc)[_mask(plan.left.predicate, frames[lt])]
-        rv = frames[rt].col(rc)[_mask(plan.right.predicate, frames[rt])]
-        return _count_pairs(lv, rv, op)
-    return len(_exec(plan, frames).rows)
+class _Counter:
+    """Counts plan results over one set of frames without building them.
+
+    Masks are kept per plan node, so all the nodes of one plan share the
+    evaluation of their leaves' predicates.
+    """
+
+    def __init__(self, frames: dict[str, _Frame]):
+        self.frames = frames
+        self._masks: dict[int, np.ndarray] = {}
+
+    def _col(self, ref: ColumnRef) -> np.ndarray:
+        return self.frames[ref.table].col(ref.column)
+
+    def mask(self, node: QueryPlan) -> np.ndarray:
+        """A leaf's predicate over its rows. For a join node over aligned
+        frames: whether the i-th rows of its tables satisfy the subplan."""
+        m = self._masks.get(id(node))
+        if m is None:
+            if isinstance(node, SelectLeaf):
+                m = _mask(node.predicate, self.frames[node.table])
+            else:
+                cond = node.condition
+                m = self.mask(node.left) & self.mask(node.right)
+                m &= _NP_OPS[cond.op](self._col(cond.left), self._col(cond.right))
+            self._masks[id(node)] = m
+        return m
+
+    def aligned_count(self, node: QueryPlan) -> int:
+        """Aligned draws that satisfy the subplan; the frames must be aligned."""
+        return int(np.count_nonzero(self.mask(node)))
+
+    def count(self, node: QueryPlan) -> int:
+        """Cardinality of the subplan's result, by weighted counting up its join tree."""
+        nodes = subplans(node)
+        leaves = [n for n in nodes if isinstance(n, SelectLeaf)]
+        sizes = [int(np.count_nonzero(self.mask(leaf))) for leaf in leaves]
+        if len(leaves) == 1:
+            return sizes[0]
+        dtype = np.int64 if math.prod(sizes) < 2**63 else object
+        at = {leaf.table: k for k, leaf in enumerate(leaves)}
+        # edges[k]: (neighbour, own column, neighbour's column, op as "own op neighbour")
+        edges: list[list[tuple[int, str, str, ComparisonOp]]] = [[] for _ in leaves]
+        for n in nodes:
+            if isinstance(n, JoinNode):
+                c = n.condition
+                a, b = at[c.left.table], at[c.right.table]
+                edges[a].append((b, c.left.column, c.right.column, c.op))
+                edges[b].append((a, c.right.column, c.left.column, c.op.flipped()))
+        # Rooted at the best-connected leaf, as many children as possible
+        # are leaves of the tree, whose rows all weigh 1.
+        root = max(range(len(leaves)), key=lambda k: len(edges[k]))
+        parent = {root: None}
+        order = [root]
+        for k in order:
+            for nb, col, nb_col, op in edges[k]:
+                if nb not in parent:
+                    parent[nb] = (k, col, nb_col, op)
+                    order.append(nb)
+        weights: list[np.ndarray | None] = [None] * len(leaves)
+        for k in reversed(order[1:]):
+            p, p_col, k_col, op = parent[k]
+            pv, kv = self._values(leaves[p], p_col), self._values(leaves[k], k_col)
+            counts = _matches(pv, kv, weights[k], op)
+            weights[p] = counts.astype(dtype, copy=False) if weights[p] is None else weights[p] * counts
+        return int(weights[root].sum())
+
+    def _values(self, leaf: SelectLeaf, column: str) -> np.ndarray:
+        return self.frames[leaf.table].col(column)[self.mask(leaf)]
 
 
 def _denominator(plan: QueryPlan, frames) -> int:
@@ -261,42 +318,24 @@ def _denominator(plan: QueryPlan, frames) -> int:
 
 def exact_cardinality(db: Database, plan: QueryPlan) -> int:
     """Exact output cardinality of a plan."""
-    frames = _frames(db)
-    _check_tables(plan, frames)
-    return _exact_count(plan, frames)
+    return _Counter(_frames(db, plan)).count(plan)
 
 
 def exact_selectivity(db: Database, plan: QueryPlan) -> float:
     """Output cardinality divided by the product of the leaf tables' sizes."""
-    frames = _frames(db)
-    _check_tables(plan, frames)
-    return _exact_count(plan, frames) / _denominator(plan, frames)
-
-
-def _aligned_count(rs: ResultSet, sampledb: SampleDatabase) -> int:
-    """Result rows whose per-table sampleindex values all agree."""
-    if not rs.rows:
-        return 0
-    if rs.arity == 1:
-        return len(rs.rows)
-    ordinals = np.asarray(rs.rows, dtype=np.int64)
-    first = sampledb.table(rs.tables[0]).index_array()[ordinals[:, 0]]
-    ok = np.ones(len(rs.rows), dtype=bool)
-    for k in range(1, rs.arity):
-        ok &= sampledb.table(rs.tables[k]).index_array()[ordinals[:, k]] == first
-    return int(ok.sum())
+    frames = _frames(db, plan)
+    return _Counter(frames).count(plan) / _denominator(plan, frames)
 
 
 def estimate_indexed(sampledb: SampleDatabase, plan: QueryPlan) -> float:
-    """Index-aligned estimate: aligned result rows divided by the sample size."""
-    rs = execute_plan(sampledb, plan)
-    return _aligned_count(rs, sampledb) / sampledb.size
+    """Index-aligned estimate: aligned draws satisfying the plan divided by the sample size."""
+    return _Counter(_frames(sampledb, plan, aligned=True)).aligned_count(plan) / sampledb.size
 
 
 def estimate_practitioner(sampledb: SampleDatabase, plan: QueryPlan) -> float:
     """Plain sample estimate: all result rows divided by s^l, ignoring sampleindex."""
-    rs = execute_plan(sampledb, plan)
-    return len(rs.rows) / sampledb.size**rs.arity
+    count = _Counter(_frames(sampledb, plan)).count(plan)
+    return count / sampledb.size ** len(leaf_tables(plan))
 
 
 def estimate_all_nodes(
@@ -304,40 +343,24 @@ def estimate_all_nodes(
 ) -> list[EstimateRecord]:
     """Estimates for every subplan, in post-order.
 
-    Child result sets are computed once and reused by their parents. When `db`
-    is given, each record also carries the exact selectivity and cardinality
-    computed against it.
+    The subplans share their leaves' predicate masks and the aligned masks of
+    their children. When `db` is given, each record also carries the exact
+    selectivity and cardinality computed against it.
     """
-    frames = _frames(sampledb)
-    _check_tables(plan, frames)
-    per_node: list[tuple[QueryPlan, ResultSet]] = []
-
-    def walk(node: QueryPlan) -> ResultSet:
-        if isinstance(node, SelectLeaf):
-            rs = _exec_leaf(node, frames)
-        else:
-            rs = _exec_join(walk(node.left), walk(node.right), node.condition, frames)
-        per_node.append((node, rs))
-        return rs
-
-    walk(plan)
-    exact_frames = None
-    if db is not None:
-        exact_frames = _frames(db)
-        _check_tables(plan, exact_frames)
+    sample = _Counter(_frames(sampledb, plan, aligned=True))
+    exact = None if db is None else _Counter(_frames(db, plan))
     s = sampledb.size
     records = []
-    for i, (node, rs) in enumerate(per_node):
+    for i, node in enumerate(subplans(plan)):
         rec = EstimateRecord(
             node=i,
             kind="select" if isinstance(node, SelectLeaf) else "join",
-            est_indexed=_aligned_count(rs, sampledb) / s,
-            est_practitioner=len(rs.rows) / s**rs.arity,
+            est_indexed=sample.aligned_count(node) / s,
+            est_practitioner=sample.count(node) / s ** len(leaf_tables(node)),
             s=s,
         )
-        if exact_frames is not None:
-            count = _exact_count(node, exact_frames)
-            rec.cardinality_exact = count
-            rec.exact = count / _denominator(node, exact_frames)
+        if exact is not None:
+            rec.cardinality_exact = exact.count(node)
+            rec.exact = rec.cardinality_exact / _denominator(node, exact.frames)
         records.append(rec)
     return records

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .execution import estimate_all_nodes, exact_cardinality, exact_selectivity
+from .execution import estimate_all_nodes, exact_selectivity
 from .queries import (
     And,
     BoolExpr,
@@ -250,12 +250,8 @@ def run_experiment(
     if sampling_methods and not sample_sizes:
         raise ValueError("sampling methods need at least one sample size")
 
-    # Exact selectivity and cardinality per (query, node), computed once.
-    exact_nodes: list[list[tuple[float, int]]] = []
-    for plan in workload:
-        exact_nodes.append(
-            [(exact_selectivity(tables, node), exact_cardinality(tables, node)) for node in subplans(plan)]
-        )
+    # Exact selectivity per (query, node), one count each.
+    exact_nodes = [[exact_selectivity(tables, node) for node in subplans(plan)] for plan in workload]
 
     seed_state = np.random.SeedSequence(seed).generate_state(max(1, len(sample_sizes)))
     sample_seeds = [int(v) for v in seed_state]
@@ -268,7 +264,7 @@ def run_experiment(
         sdb = create_sample(size, tables, sample_seeds[si])
         for qid, plan in enumerate(workload):
             records = estimate_all_nodes(sdb, plan)
-            for rec, (node_exact, _) in zip(records, exact_nodes[qid]):
+            for rec, node_exact in zip(records, exact_nodes[qid]):
                 per_query.append(
                     QueryNodeRecord(
                         query_id=qid,
@@ -282,7 +278,7 @@ def run_experiment(
                     )
                 )
             root = records[-1]
-            root_exact = exact_nodes[qid][-1][0]
+            root_exact = exact_nodes[qid][-1]
             root_estimates.setdefault(("indexed", size), []).append((root.est_indexed, root_exact))
             root_estimates.setdefault(("practitioner", size), []).append(
                 (root.est_practitioner, root_exact)
@@ -294,7 +290,7 @@ def run_experiment(
         for t in tables:
             catalog.update(build_stats(t, stats_buckets, stats_mcv))
         for qid, plan in enumerate(workload):
-            histogram_pairs.append((estimate_join(catalog, plan), exact_nodes[qid][-1][0]))
+            histogram_pairs.append((estimate_join(catalog, plan), exact_nodes[qid][-1]))
 
     summaries: list[ErrorSummary] = []
     for method in methods:

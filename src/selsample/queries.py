@@ -229,16 +229,9 @@ def _eval(expr: BoolExpr, row: Sequence[int], index: Mapping[str, int]) -> bool:
 
 def subplans(plan: QueryPlan) -> list[QueryPlan]:
     """Every subtree of the plan, in post-order (leaves first, root last)."""
-    out: list[QueryPlan] = []
-
-    def walk(node: QueryPlan) -> None:
-        if isinstance(node, JoinNode):
-            walk(node.left)
-            walk(node.right)
-        out.append(node)
-
-    walk(plan)
-    return out
+    if isinstance(plan, JoinNode):
+        return subplans(plan.left) + subplans(plan.right) + [plan]
+    return [plan]
 
 
 def leaf_tables(plan: QueryPlan) -> tuple[str, ...]:

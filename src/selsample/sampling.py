@@ -58,6 +58,7 @@ class SampleTable:
         self._pos_by_index = {idx: pos for pos, idx in enumerate(self.indexes)}
         self._matrix: np.ndarray | None = None
         self._index_array: np.ndarray | None = None
+        self._aligned_matrix: np.ndarray | None = None
 
     @property
     def size(self) -> int:
@@ -82,6 +83,12 @@ class SampleTable:
         if self._index_array is None:
             self._index_array = np.array(self.indexes, dtype=np.int64)
         return self._index_array
+
+    def aligned_matrix(self) -> np.ndarray:
+        """The rows in sampleindex order: row i holds the draw tagged i + 1."""
+        if self._aligned_matrix is None:
+            self._aligned_matrix = self.matrix()[np.argsort(self.index_array())]
+        return self._aligned_matrix
 
 
 class SampleDatabase:

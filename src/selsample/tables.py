@@ -29,6 +29,9 @@ __all__ = [
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _INT_RE = re.compile(r"-?\d+")
+# Integers of at most 18 digits always fit in int64; longer ones are range-checked.
+_SHORT_INT_RE = re.compile(r"-?\d{1,18}")
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
 class CsvFormatError(ValueError):
@@ -43,6 +46,9 @@ class Domain:
     hi: int
 
     def __post_init__(self) -> None:
+        for bound in (self.lo, self.hi):
+            if not _INT64_MIN <= bound <= _INT64_MAX:
+                raise ValueError(f"domain bound {bound} outside the 64-bit integer range")
         if self.lo > self.hi:
             raise ValueError(f"empty domain: [{self.lo}, {self.hi}]")
 
@@ -217,8 +223,14 @@ def read_csv(path: str | Path, domain: Domain | None = None, name: str | None = 
         if len(cells) != len(header):
             raise CsvFormatError(f"{p}: row {rno}: {len(cells)} cells, expected {len(header)}")
         for col_name, cell in zip(header, cells):
+            if _SHORT_INT_RE.fullmatch(cell):
+                continue
             if not _INT_RE.fullmatch(cell):
                 raise CsvFormatError(f"{p}: row {rno}, column {col_name}: not an integer: {cell!r}")
+            if not _INT64_MIN <= int(cell) <= _INT64_MAX:
+                raise CsvFormatError(
+                    f"{p}: row {rno}, column {col_name}: value {cell} outside the 64-bit integer range"
+                )
         rows.append(tuple(int(c) for c in cells))
     if domain is not None:
         schema = tuple(ColumnMeta(n, domain) for n in header)

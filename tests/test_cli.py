@@ -103,6 +103,14 @@ class TestBuildStats:
         cat = load_stats(out)
         assert ("t", "C1") in cat and ("t", "C2") in cat
 
+    def test_value_beyond_int64_exits_2(self, tmp_path, capsys):
+        big = tmp_path / "big.csv"
+        big.write_text("C1,C2\n1,36893488147419103232\n")
+        code = run(["build-stats", "--table", str(big), "--out", str(tmp_path / "st.txt")])
+        assert code == 2
+        assert "row 1, column C2" in capsys.readouterr().err
+        assert not (tmp_path / "st.txt").exists()
+
 
 class TestBoundsAndSampleSize:
     def test_bounds_json(self, capsys):

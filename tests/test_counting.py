@@ -1,0 +1,77 @@
+"""The counting engine against brute force, beyond int64, and at sizes that
+rule out building join results."""
+
+import numpy as np
+
+from conftest import (
+    ALL_OPS,
+    aligned_oracle_selectivity,
+    brute_force_result,
+    make_table,
+    random_plan,
+    random_small_tables,
+)
+from selsample.execution import estimate_all_nodes, exact_cardinality, exact_selectivity
+from selsample.queries import JoinNode, leaf_tables, parse_query, subplans
+from selsample.sampling import create_sample
+from selsample.tables import ColumnMeta, Domain, Table
+
+
+def test_exact_cardinality_matches_brute_force():
+    rng = np.random.default_rng(31)
+    ops_seen = set()
+    for _ in range(300):
+        k = int(rng.integers(1, 5))
+        tables = random_small_tables(rng, k, max_rows=4)
+        plan = random_plan(rng, tables, int(rng.integers(1, k + 1)))
+        ops_seen.update(n.condition.op for n in subplans(plan) if isinstance(n, JoinNode))
+        assert exact_cardinality(tables, plan) == len(brute_force_result(tables, plan))
+    assert ops_seen == set(ALL_OPS)
+
+
+def test_every_node_record_matches_brute_force():
+    rng = np.random.default_rng(37)
+    for _ in range(200):
+        k = int(rng.integers(1, 5))
+        tables = random_small_tables(rng, k, max_rows=5)
+        plan = random_plan(rng, tables, int(rng.integers(1, k + 1)))
+        s = int(rng.integers(1, 6))
+        sdb = create_sample(s, tables, seed=int(rng.integers(0, 10_000)))
+        sample_tables = [make_table(st.base, st.rows) for st in sdb.tables]
+        records = estimate_all_nodes(sdb, plan)
+        for rec, node in zip(records, subplans(plan), strict=True):
+            assert rec.est_indexed == aligned_oracle_selectivity(sdb, node)
+            u = len(leaf_tables(node))
+            assert rec.est_practitioner == len(brute_force_result(sample_tables, node)) / s**u
+
+
+def test_count_beyond_int64_stays_exact():
+    n = 60_000
+    tables = [
+        Table(name, [ColumnMeta("C1", Domain(0, 0))], [(0,)] * n) for name in "abcd"
+    ]
+    plan = parse_query(
+        "SELECT * FROM a, b, c, d WHERE a.C1 <= b.C1 AND b.C1 = c.C1 AND c.C1 >= d.C1", tables
+    )
+    assert n**4 > 2**63
+    count = exact_cardinality(tables, plan)
+    assert type(count) is int and count == n**4
+    assert exact_selectivity(tables, plan) == 1.0
+
+
+def test_unfiltered_theta_join_on_a_large_sample():
+    rng = np.random.default_rng(41)
+    dom = Domain(0, 1_000_000)
+    a, b = (
+        Table(name, [ColumnMeta("C1", dom)], rng.integers(0, 1_000_001, size=(2_000, 1)).tolist())
+        for name in "AB"
+    )
+    s = 50_000
+    sdb = create_sample(s, [a, b], seed=3)
+    plan = parse_query("SELECT * FROM A, B WHERE A.C1 < B.C1", [a, b])
+    records = estimate_all_nodes(sdb, plan)
+    av = sdb.table("A").aligned_matrix()[:, 0]
+    bv = sdb.table("B").aligned_matrix()[:, 0]
+    pairs = int(np.searchsorted(np.sort(av), bv, side="left").sum())
+    assert records[-1].est_practitioner == pairs / s**2
+    assert records[-1].est_indexed == int(np.count_nonzero(av < bv)) / s

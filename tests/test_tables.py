@@ -28,6 +28,13 @@ class TestDomain:
         with pytest.raises(ValueError):
             Domain(5, 4)
 
+    def test_bounds_must_fit_int64(self):
+        Domain(-(2**63), 2**63 - 1)
+        with pytest.raises(ValueError, match="64-bit"):
+            Domain(0, 2**63)
+        with pytest.raises(ValueError, match="64-bit"):
+            Domain(-(2**63) - 1, 0)
+
 
 class TestTable:
     def test_row_width_checked(self):
@@ -111,6 +118,20 @@ class TestCsv:
         with pytest.raises(CsvFormatError, match="infer"):
             read_csv(p)
         assert read_csv(p, domain=Domain(0, 1)).row_count == 0
+
+    @pytest.mark.parametrize("cell", ["36893488147419103232", "9223372036854775808", "-9223372036854775809"])
+    def test_cell_beyond_int64_names_row_and_column(self, tmp_path, cell):
+        p = tmp_path / "t.csv"
+        p.write_text(f"C1,C2\n1,2\n3,{cell}\n")
+        with pytest.raises(CsvFormatError, match=r"row 2, column C2: value .* 64-bit"):
+            read_csv(p)
+        with pytest.raises(CsvFormatError, match=r"row 2, column C2"):
+            load_csv(p, SCHEMA_0_10)
+
+    def test_int64_extremes_and_leading_zeros_load(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("C1,C2\n9223372036854775807,-9223372036854775808\n000000000000000000000007,1\n")
+        assert read_csv(p).rows == [(2**63 - 1, -(2**63)), (7, 1)]
 
 
 class TestUniformGenerator:
