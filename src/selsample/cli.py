@@ -27,13 +27,13 @@ from .queries import parse_query
 from .sampling import create_sample, load_sample, save_sample
 from .stats import StatsCatalog, build_stats, dump_stats
 from .tables import (
-    ColumnMeta,
     Domain,
     Table,
     generate_correlated_table,
     generate_uniform_table,
     read_csv,
     save_csv,
+    spanning_schema,
 )
 from .vcbounds import SampleSizeSpec, bound_general, sample_size_eps, sample_size_rel
 
@@ -170,13 +170,10 @@ def cmd_estimate(args) -> int:
         catalog = {t.name: t for t in exact_tables}
     else:
         # Schema for parsing only: columns and value ranges taken from the sample.
-        catalog = {}
-        for st in sdb.tables:
-            cols = [
-                ColumnMeta(c, Domain(min(r[i] for r in st.rows), max(r[i] for r in st.rows)))
-                for i, c in enumerate(st.columns)
-            ]
-            catalog[st.base] = Table(st.base, cols, st.rows)
+        catalog = {
+            st.base: Table(st.base, spanning_schema(st.columns, st.matrix()), st.matrix())
+            for st in sdb.tables
+        }
     plan = parse_query(args.query, catalog)
     records = estimate_all_nodes(sdb, plan, db=exact_tables)
     rows = [

@@ -42,7 +42,7 @@ from .queries import (
     leaf_tables,
     subplans,
 )
-from .sampling import SampleDatabase
+from .sampling import SampleDatabase, SampleTable
 from .tables import Table, TupleRef
 
 __all__ = [
@@ -57,6 +57,7 @@ __all__ = [
 ]
 
 Database = Union[Sequence[Table], SampleDatabase]
+Frame = Union[Table, SampleTable]
 
 _NP_OPS = {
     ComparisonOp.LT: np.less,
@@ -98,43 +99,22 @@ class EstimateRecord:
     cardinality_exact: int | None = None
 
 
-class _Frame:
-    """Uniform execution view over a base table or a sample table."""
+def _frames(db: Database, plan: QueryPlan) -> dict[str, Frame]:
+    """The tables the plan reads, by name, after checking that the plan fits them.
 
-    __slots__ = ("name", "col_index", "matrix", "n")
-
-    def __init__(self, name, columns, matrix):
-        self.name = name
-        self.col_index = {c: i for i, c in enumerate(columns)}
-        self.matrix = matrix
-        self.n = matrix.shape[0]
-
-    def col(self, name: str) -> np.ndarray:
-        try:
-            return self.matrix[:, self.col_index[name]]
-        except KeyError:
-            raise LookupError(f"table {self.name!r} has no column {name!r}") from None
-
-
-def _frames(db: Database, plan: QueryPlan, *, aligned: bool = False) -> dict[str, _Frame]:
-    """Views of the tables the plan reads, after checking that the plan fits them.
-
-    With `aligned`, sample rows are in sampleindex order, so row i of every
-    frame belongs to the same aligned draw.
+    Sample tables are stored in sampleindex order, so row i of every sample
+    table belongs to the same aligned draw.
     """
     if isinstance(db, SampleDatabase):
-        sources = {
-            st.base: (st.columns, st.aligned_matrix if aligned else st.matrix) for st in db.tables
-        }
+        sources = {st.base: st for st in db.tables}
     else:
-        sources = {t.name: (t.column_names, t.matrix) for t in db}
+        sources = {t.name: t for t in db}
     names = leaf_tables(plan)
     frames = {}
     for name in names:
         if name not in sources:
             raise LookupError(f"table {name!r} is not present in the database")
-        columns, matrix = sources[name]
-        frames[name] = _Frame(name, columns, matrix())
+        frames[name] = sources[name]
     if len(frames) != len(names):
         raise ValueError("a table appears twice in the plan; self-joins are not supported")
     for node in subplans(plan):
@@ -143,11 +123,11 @@ def _frames(db: Database, plan: QueryPlan, *, aligned: bool = False) -> dict[str
     return frames
 
 
-def _mask(expr: BoolExpr | None, frame: _Frame) -> np.ndarray:
+def _mask(expr: BoolExpr | None, frame: Frame) -> np.ndarray:
     if expr is None:
-        return np.ones(frame.n, dtype=bool)
+        return np.ones(len(frame.matrix()), dtype=bool)
     if isinstance(expr, SelectionClause):
-        return _NP_OPS[expr.op](frame.col(expr.column), expr.constant)
+        return _NP_OPS[expr.op](frame.column_values(expr.column), expr.constant)
     if isinstance(expr, And):
         return _mask(expr.left, frame) & _mask(expr.right, frame)
     return _mask(expr.left, frame) | _mask(expr.right, frame)
@@ -178,7 +158,7 @@ def _component_values(rs: ResultSet, table: str, column: str, frames) -> np.ndar
         return np.empty(0, dtype=np.int64)
     k = rs.tables.index(table)
     ordinals = np.fromiter((row[k] for row in rs.rows), dtype=np.int64, count=len(rs.rows))
-    return frames[table].col(column)[ordinals]
+    return frames[table].column_values(column)[ordinals]
 
 
 def _exec(plan: QueryPlan, frames) -> ResultSet:
@@ -242,12 +222,12 @@ class _Counter:
     evaluation of their leaves' predicates.
     """
 
-    def __init__(self, frames: dict[str, _Frame]):
+    def __init__(self, frames: dict[str, Frame]):
         self.frames = frames
         self._masks: dict[int, np.ndarray] = {}
 
     def _col(self, ref: ColumnRef) -> np.ndarray:
-        return self.frames[ref.table].col(ref.column)
+        return self.frames[ref.table].column_values(ref.column)
 
     def mask(self, node: QueryPlan) -> np.ndarray:
         """A leaf's predicate over its rows. For a join node over aligned
@@ -264,7 +244,7 @@ class _Counter:
         return m
 
     def aligned_count(self, node: QueryPlan) -> int:
-        """Aligned draws that satisfy the subplan; the frames must be aligned."""
+        """Aligned draws that satisfy the subplan; the frames must be sample tables."""
         return int(np.count_nonzero(self.mask(node)))
 
     def count(self, node: QueryPlan) -> int:
@@ -303,13 +283,13 @@ class _Counter:
         return int(weights[root].sum())
 
     def _values(self, leaf: SelectLeaf, column: str) -> np.ndarray:
-        return self.frames[leaf.table].col(column)[self.mask(leaf)]
+        return self.frames[leaf.table].column_values(column)[self.mask(leaf)]
 
 
 def _denominator(plan: QueryPlan, frames) -> int:
     denom = 1
     for t in leaf_tables(plan):
-        n = frames[t].n
+        n = len(frames[t].matrix())
         if n == 0:
             raise ValueError(f"selectivity undefined: table {t!r} is empty")
         denom *= n
@@ -329,7 +309,7 @@ def exact_selectivity(db: Database, plan: QueryPlan) -> float:
 
 def estimate_indexed(sampledb: SampleDatabase, plan: QueryPlan) -> float:
     """Index-aligned estimate: aligned draws satisfying the plan divided by the sample size."""
-    return _Counter(_frames(sampledb, plan, aligned=True)).aligned_count(plan) / sampledb.size
+    return _Counter(_frames(sampledb, plan)).aligned_count(plan) / sampledb.size
 
 
 def estimate_practitioner(sampledb: SampleDatabase, plan: QueryPlan) -> float:
@@ -347,7 +327,7 @@ def estimate_all_nodes(
     their children. When `db` is given, each record also carries the exact
     selectivity and cardinality computed against it.
     """
-    sample = _Counter(_frames(sampledb, plan, aligned=True))
+    sample = _Counter(_frames(sampledb, plan))
     exact = None if db is None else _Counter(_frames(db, plan))
     s = sampledb.size
     records = []

@@ -9,13 +9,12 @@ base tables, which is what the selectivity estimators count against.
 from __future__ import annotations
 
 import json
-import re
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .tables import Table
+from .tables import Table, int_matrix, read_int_csv, write_int_csv
 
 __all__ = [
     "SampleTable",
@@ -26,69 +25,65 @@ __all__ = [
     "load_sample",
 ]
 
-_INT_RE = re.compile(r"-?\d+")
-
 
 class SampleTable:
     """Uniform with-replacement sample of one base table, rows tagged 1..s.
 
-    `indexes[i]` is the sampleindex of `rows[i]`; the index values are exactly
-    the set {1, ..., s} with no repeats.
+    The rows are stored in sampleindex order, as one read-only int64 matrix:
+    row i holds the draw tagged i + 1, so `indexes` is 1..s and the i-th rows
+    of all sample tables of a database form one aligned draw. The constructor
+    takes the index values in any order, as long as they are exactly the set
+    {1, ..., s} with no repeats.
     """
 
     def __init__(
         self,
         base: str,
         columns: Sequence[str],
-        indexes: Iterable[int],
-        rows: Iterable[Sequence[int]],
+        indexes: Sequence[int] | np.ndarray,
+        rows: np.ndarray | Iterable[Sequence[int]],
     ):
         self.base = base
         self.columns = tuple(columns)
-        self.indexes = tuple(int(i) for i in indexes)
-        self.rows = tuple(tuple(int(v) for v in row) for row in rows)
-        if len(self.indexes) != len(self.rows):
+        m = int_matrix(rows, len(self.columns))
+        s = m.shape[0]
+        idx = np.asarray(indexes, dtype=np.int64)
+        if idx.shape != (s,):
             raise ValueError("index/row length mismatch")
-        s = len(self.rows)
-        if sorted(self.indexes) != list(range(1, s + 1)):
+        order = np.argsort(idx)
+        if not np.array_equal(idx[order], np.arange(1, s + 1)):
             raise ValueError(f"sampleindex values must be exactly 1..{s} with no repeats")
-        for row in self.rows:
-            if len(row) != len(self.columns):
-                raise ValueError("sample row width does not match the column list")
-        self._pos_by_index = {idx: pos for pos, idx in enumerate(self.indexes)}
-        self._matrix: np.ndarray | None = None
-        self._index_array: np.ndarray | None = None
-        self._aligned_matrix: np.ndarray | None = None
+        self._matrix = m[order]
+        self._matrix.flags.writeable = False
 
     @property
     def size(self) -> int:
-        return len(self.rows)
+        return self._matrix.shape[0]
+
+    @property
+    def indexes(self) -> range:
+        """The sampleindex of each row of `rows`."""
+        return range(1, self.size + 1)
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The rows as tuples in sampleindex order, rebuilt from the matrix on every access."""
+        return tuple(map(tuple, self._matrix.tolist()))
 
     def row_at_index(self, i: int) -> tuple[int, ...]:
         """The unique sampled row whose sampleindex equals i."""
-        try:
-            return self.rows[self._pos_by_index[i]]
-        except KeyError:
-            raise IndexError(f"sampleindex {i} out of range 1..{self.size}") from None
+        if not 1 <= i <= self.size:
+            raise IndexError(f"sampleindex {i} out of range 1..{self.size}")
+        return tuple(self._matrix[i - 1].tolist())
 
     def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            if self.rows:
-                self._matrix = np.array(self.rows, dtype=np.int64)
-            else:
-                self._matrix = np.empty((0, len(self.columns)), dtype=np.int64)
+        """The read-only int64 matrix of the rows, in sampleindex order."""
         return self._matrix
 
-    def index_array(self) -> np.ndarray:
-        if self._index_array is None:
-            self._index_array = np.array(self.indexes, dtype=np.int64)
-        return self._index_array
-
-    def aligned_matrix(self) -> np.ndarray:
-        """The rows in sampleindex order: row i holds the draw tagged i + 1."""
-        if self._aligned_matrix is None:
-            self._aligned_matrix = self.matrix()[np.argsort(self.index_array())]
-        return self._aligned_matrix
+    def column_values(self, name: str) -> np.ndarray:
+        if name not in self.columns:
+            raise LookupError(f"table {self.base!r} has no column {name!r}")
+        return self._matrix[:, self.columns.index(name)]
 
 
 class SampleDatabase:
@@ -143,8 +138,7 @@ def create_sample(s: int, tables: Sequence[Table], seed: int) -> SampleDatabase:
     sampled = []
     for t in tables:
         ordinals = rng.integers(0, t.row_count, size=s)
-        rows = [t.rows[o] for o in ordinals.tolist()]
-        sampled.append(SampleTable(t.name, t.column_names, range(1, s + 1), rows))
+        sampled.append(SampleTable(t.name, t.column_names, np.arange(1, s + 1), t.matrix()[ordinals]))
     return SampleDatabase(s, seed, sampled)
 
 
@@ -166,10 +160,8 @@ def save_sample(sampledb: SampleDatabase, out_dir: str | Path) -> Path:
     entries = []
     for st in sampledb.tables:
         fname = f"{st.base}.sample.csv"
-        lines = ["sampleindex," + ",".join(st.columns)]
-        for idx, row in zip(st.indexes, st.rows):
-            lines.append(str(idx) + "," + ",".join(str(v) for v in row))
-        (out / fname).write_text("\n".join(lines) + "\n", newline="\n")
+        tagged = np.column_stack((np.arange(1, st.size + 1), st.matrix()))
+        write_int_csv(out / fname, ("sampleindex", *st.columns), tagged)
         entries.append({"base": st.base, "file": fname, "columns": list(st.columns)})
     manifest = {"size": sampledb.size, "seed": sampledb.seed, "tables": entries}
     manifest_path = out / "manifest.json"
@@ -185,22 +177,6 @@ def load_sample(manifest_path: str | Path) -> SampleDatabase:
     manifest = json.loads(mp.read_text())
     tables = []
     for entry in manifest["tables"]:
-        path = mp.parent / entry["file"]
-        lines = path.read_text().split("\n")
-        if lines and lines[-1] == "":
-            lines.pop()
-        if not lines:
-            raise ValueError(f"{path}: empty sample file")
-        header = lines[0].split(",")
-        if header[0] != "sampleindex" or header[1:] != list(entry["columns"]):
-            raise ValueError(f"{path}: header does not match the manifest column list")
-        indexes = []
-        rows = []
-        for rno, line in enumerate(lines[1:], start=1):
-            cells = line.split(",")
-            if len(cells) != len(header) or not all(_INT_RE.fullmatch(c) for c in cells):
-                raise ValueError(f"{path}: row {rno}: malformed sample row")
-            indexes.append(int(cells[0]))
-            rows.append(tuple(int(c) for c in cells[1:]))
-        tables.append(SampleTable(entry["base"], entry["columns"], indexes, rows))
+        _, m = read_int_csv(mp.parent / entry["file"], ["sampleindex", *entry["columns"]])
+        tables.append(SampleTable(entry["base"], entry["columns"], m[:, 0], m[:, 1:]))
     return SampleDatabase(int(manifest["size"]), int(manifest["seed"]), tables)

@@ -9,7 +9,6 @@ selectivities multiply across AND and add (clamped) across OR.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -171,18 +170,17 @@ def build_stats(table: Table, buckets: int = 100, mcv: int = 100) -> StatsCatalo
     n = table.row_count
     for col in table.columns:
         values = table.column_values(col.name)
-        counts = Counter(values.tolist())
-        ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        mcv_entries = tuple((v, c / n) for v, c in ranked[:mcv])
-        mcv_values = [v for v, _ in mcv_entries]
-        rest = np.sort(values[~np.isin(values, mcv_values)]) if mcv_values else np.sort(values)
+        distinct, counts = np.unique(values, return_counts=True)
+        # By descending count; the stable sort keeps ties in ascending value order.
+        top = np.argsort(-counts, kind="stable")[:mcv]
+        mcv_entries = tuple((v, c / n) for v, c in zip(distinct[top].tolist(), counts[top].tolist()))
+        rest_mask = np.ones(distinct.size, dtype=bool)
+        rest_mask[top] = False
+        rest = np.repeat(distinct[rest_mask], counts[rest_mask])
         total_rest = rest.size / n
         if rest.size:
-            bnds = tuple(
-                int(rest[min(rest.size - 1, (k * rest.size) // buckets)])
-                for k in range(buckets + 1)
-            )
-            hist = EquiDepthHistogram(bnds, total_rest / buckets, total_rest)
+            at = np.minimum(rest.size - 1, np.arange(buckets + 1) * rest.size // buckets)
+            hist = EquiDepthHistogram(tuple(rest[at].tolist()), total_rest / buckets, total_rest)
         else:
             hist = EquiDepthHistogram((), 0.0, 0.0)
         catalog.add(
@@ -191,8 +189,8 @@ def build_stats(table: Table, buckets: int = 100, mcv: int = 100) -> StatsCatalo
             ColumnStats(
                 mcv=MCVList(mcv_entries, mcv),
                 histogram=hist,
-                n_distinct=len(counts),
-                n_distinct_non_mcv=len(counts) - len(mcv_entries),
+                n_distinct=distinct.size,
+                n_distinct_non_mcv=distinct.size - len(mcv_entries),
             ),
         )
     return catalog

@@ -7,6 +7,7 @@ fixing an arbitrary order on the categories.
 
 from __future__ import annotations
 
+import io
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,6 +21,10 @@ __all__ = [
     "Table",
     "TupleRef",
     "CsvFormatError",
+    "int_matrix",
+    "read_int_csv",
+    "write_int_csv",
+    "spanning_schema",
     "load_csv",
     "read_csv",
     "save_csv",
@@ -29,8 +34,6 @@ __all__ = [
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _INT_RE = re.compile(r"-?\d+")
-# Integers of at most 18 digits always fit in int64; longer ones are range-checked.
-_SHORT_INT_RE = re.compile(r"-?\d{1,18}")
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
@@ -81,9 +84,19 @@ class TupleRef:
 
 
 class Table:
-    """An immutable table of integer rows over named, domain-checked columns."""
+    """An immutable table of integer rows over named, domain-checked columns.
 
-    def __init__(self, name: str, columns: Sequence[ColumnMeta], rows: Iterable[Sequence[int]]):
+    The rows live in one read-only, C-contiguous int64 matrix. `rows` may be
+    such a matrix (it is copied, so the caller's array stays its own) or any
+    iterable of rows.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        columns: Sequence[ColumnMeta],
+        rows: np.ndarray | Iterable[Sequence[int]],
+    ):
         if not _IDENT_RE.fullmatch(name):
             raise ValueError(f"invalid table name: {name!r}")
         columns = tuple(columns)
@@ -94,32 +107,26 @@ class Table:
             raise ValueError(f"duplicate column names in table {name!r}")
         self.name = name
         self.columns = columns
-        self.rows: list[tuple[int, ...]] = [tuple(int(v) for v in row) for row in rows]
         self._col_index = {c.name: i for i, c in enumerate(columns)}
-        self._matrix: np.ndarray | None = None
-        self._validate()
+        self._matrix = int_matrix(rows, len(columns))
+        # The first bad cell in column-major order.
+        bad = np.flatnonzero(_outside(self._matrix, [c.domain for c in columns]).T)
+        if bad.size:
+            j, r = divmod(int(bad[0]), self.row_count)
+            d = columns[j].domain
+            raise ValueError(
+                f"row {r + 1}, column {columns[j].name}: value {int(self._matrix[r, j])} "
+                f"outside domain [{d.lo}, {d.hi}]"
+            )
 
-    def _validate(self) -> None:
-        k = len(self.columns)
-        for rno, row in enumerate(self.rows):
-            if len(row) != k:
-                raise ValueError(f"row {rno + 1} has {len(row)} values, expected {k}")
-        if not self.rows:
-            return
-        m = self.matrix()
-        for j, col in enumerate(self.columns):
-            vals = m[:, j]
-            bad = np.flatnonzero((vals < col.domain.lo) | (vals > col.domain.hi))
-            if bad.size:
-                r = int(bad[0])
-                raise ValueError(
-                    f"row {r + 1}, column {col.name}: value {int(vals[r])} outside "
-                    f"domain [{col.domain.lo}, {col.domain.hi}]"
-                )
+    @property
+    def rows(self) -> list[tuple[int, ...]]:
+        """The rows as tuples, rebuilt from the matrix on every access."""
+        return list(map(tuple, self._matrix.tolist()))
 
     @property
     def row_count(self) -> int:
-        return len(self.rows)
+        return self._matrix.shape[0]
 
     @property
     def column_names(self) -> tuple[str, ...]:
@@ -135,16 +142,11 @@ class Table:
         return self.columns[self.column_index(name)]
 
     def matrix(self) -> np.ndarray:
-        """Row-major int64 view of the data, cached after the first call."""
-        if self._matrix is None:
-            if self.rows:
-                self._matrix = np.array(self.rows, dtype=np.int64)
-            else:
-                self._matrix = np.empty((0, len(self.columns)), dtype=np.int64)
+        """The read-only row-major int64 matrix of the data."""
         return self._matrix
 
     def column_values(self, name: str) -> np.ndarray:
-        return self.matrix()[:, self.column_index(name)]
+        return self._matrix[:, self.column_index(name)]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Table):
@@ -152,12 +154,108 @@ class Table:
         return (
             self.name == other.name
             and self.columns == other.columns
-            and self.rows == other.rows
+            and np.array_equal(self._matrix, other._matrix)
         )
 
     def __repr__(self) -> str:
         cols = ",".join(self.column_names)
         return f"Table({self.name!r}, columns=[{cols}], rows={self.row_count})"
+
+
+def int_matrix(rows: np.ndarray | Iterable[Sequence[int]], k: int) -> np.ndarray:
+    """A new read-only (n, k) int64 matrix holding `rows`: an array or an iterable of rows."""
+    if isinstance(rows, np.ndarray):
+        m = np.array(rows, dtype=np.int64, order="C")
+        if m.ndim != 2 or m.shape[1] != k:
+            raise ValueError(f"rows of shape {m.shape}, expected (n, {k})")
+    else:
+        rows = [tuple(int(v) for v in row) for row in rows]
+        for rno, row in enumerate(rows, start=1):
+            if len(row) != k:
+                raise ValueError(f"row {rno} has {len(row)} values, expected {k}")
+        m = np.array(rows, dtype=np.int64).reshape(len(rows), k)
+    m.flags.writeable = False
+    return m
+
+
+def read_int_csv(
+    path: str | Path, columns: Sequence[str] | None = None, domains: Sequence[Domain] | None = None
+) -> tuple[list[str], np.ndarray]:
+    """Read a CSV file of integers: a header line of column names, then one row per line.
+
+    The header must equal `columns` when given, and consist of valid column
+    names otherwise. Every cell must match `-?\\d+` and lie inside its column's
+    domain, or inside int64 when `domains` is None. The first offending cell in
+    file order is reported with the file, its 1-based data row and its column.
+    Returns the header's column names and the (rows, columns) matrix.
+    """
+    p = Path(path)
+    if not p.is_file():
+        raise FileNotFoundError(f"no such CSV file: {p}")
+    text = p.read_text()
+    if not text:
+        raise CsvFormatError(f"{p}: empty file, missing header row")
+    first, _, body = text.partition("\n")
+    names = first.split(",")
+    if columns is None:
+        for col in names:
+            if not _IDENT_RE.fullmatch(col):
+                raise CsvFormatError(f"{p}: invalid column name in header: {col!r}")
+    elif first != ",".join(columns):
+        raise CsvFormatError(f"{p}: header mismatch: expected {','.join(columns)!r}, got {first!r}")
+    k = len(names)
+    if body and not body.endswith("\n"):
+        body += "\n"
+    # Fast path. np.loadtxt rejects empty cells, misplaced minus signs, values
+    # beyond int64 and ragged rows, but it takes " 5" and "+5" and skips blank
+    # lines; so it only sees digits, minus signs, commas and non-blank lines.
+    if (
+        body
+        and body.isascii()
+        and not body.encode().translate(None, b"0123456789-,\n")
+        and not body.startswith("\n")
+        and "\n\n" not in body
+    ):
+        try:
+            m = np.loadtxt(io.StringIO(body), dtype=np.int64, delimiter=",", ndmin=2)
+        except ValueError:  # a cell beyond int64, or rows of unequal width
+            m = None
+        if m is not None and m.shape[1] == k:
+            if domains is None or not _outside(m, domains).any():
+                return names, m
+    # Row by row: raises the first error, or parses what the fast path left
+    # out, such as digits outside ASCII.
+    rows = []
+    for rno, line in enumerate(body.split("\n")[:-1], start=1):
+        cells = line.split(",")
+        if len(cells) != k:
+            raise CsvFormatError(f"{p}: row {rno}: {len(cells)} cells, expected {k}")
+        for j, (col, cell) in enumerate(zip(names, cells)):
+            where = f"{p}: row {rno}, column {col}"
+            if not _INT_RE.fullmatch(cell):
+                raise CsvFormatError(f"{where}: not an integer: {cell!r}")
+            v = int(cell)
+            if domains is None:
+                if not _INT64_MIN <= v <= _INT64_MAX:
+                    raise CsvFormatError(f"{where}: value {cell} outside the 64-bit integer range")
+            elif v not in domains[j]:
+                d = domains[j]
+                raise CsvFormatError(f"{where}: value {v} outside domain [{d.lo}, {d.hi}]")
+        rows.append([int(c) for c in cells])
+    return names, np.array(rows, dtype=np.int64).reshape(len(rows), k)
+
+
+def _outside(m: np.ndarray, domains: Sequence[Domain]) -> np.ndarray:
+    """Which cells of m lie outside their column's domain."""
+    return (m < [d.lo for d in domains]) | (m > [d.hi for d in domains])
+
+
+def write_int_csv(path: str | Path, names: Sequence[str], matrix: np.ndarray) -> None:
+    """Write a header line and the matrix rows: integer cells, commas, LF newlines."""
+    n, k = matrix.shape
+    row = ",".join(["%d"] * k) + "\n"
+    text = ",".join(names) + "\n" + (row * n) % tuple(matrix.ravel().tolist())
+    Path(path).write_text(text, newline="\n")
 
 
 def load_csv(path: str | Path, schema: Sequence[ColumnMeta], name: str | None = None) -> Table:
@@ -168,35 +266,9 @@ def load_csv(path: str | Path, schema: Sequence[ColumnMeta], name: str | None = 
     1-based data row number and the column name.
     """
     p = Path(path)
-    if not p.is_file():
-        raise FileNotFoundError(f"no such CSV file: {p}")
-    lines = p.read_text().split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise CsvFormatError(f"{p}: empty file, missing header row")
     schema = tuple(schema)
-    expected = ",".join(c.name for c in schema)
-    if lines[0] != expected:
-        raise CsvFormatError(f"{p}: header mismatch: expected {expected!r}, got {lines[0]!r}")
-    rows = []
-    for rno, line in enumerate(lines[1:], start=1):
-        cells = line.split(",")
-        if len(cells) != len(schema):
-            raise CsvFormatError(f"{p}: row {rno}: {len(cells)} cells, expected {len(schema)}")
-        row = []
-        for col, cell in zip(schema, cells):
-            if not _INT_RE.fullmatch(cell):
-                raise CsvFormatError(f"{p}: row {rno}, column {col.name}: not an integer: {cell!r}")
-            v = int(cell)
-            if v not in col.domain:
-                raise CsvFormatError(
-                    f"{p}: row {rno}, column {col.name}: value {v} outside "
-                    f"domain [{col.domain.lo}, {col.domain.hi}]"
-                )
-            row.append(v)
-        rows.append(tuple(row))
-    return Table(name or p.stem, schema, rows)
+    _, m = read_int_csv(p, [c.name for c in schema], [c.domain for c in schema])
+    return Table(name or p.stem, schema, m)
 
 
 def read_csv(path: str | Path, domain: Domain | None = None, name: str | None = None) -> Table:
@@ -206,50 +278,25 @@ def read_csv(path: str | Path, domain: Domain | None = None, name: str | None = 
     (applied to every column) or inferred as each column's [min, max].
     """
     p = Path(path)
-    if not p.is_file():
-        raise FileNotFoundError(f"no such CSV file: {p}")
-    lines = p.read_text().split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise CsvFormatError(f"{p}: empty file, missing header row")
-    header = lines[0].split(",")
-    for col_name in header:
-        if not _IDENT_RE.fullmatch(col_name):
-            raise CsvFormatError(f"{p}: invalid column name in header: {col_name!r}")
-    rows = []
-    for rno, line in enumerate(lines[1:], start=1):
-        cells = line.split(",")
-        if len(cells) != len(header):
-            raise CsvFormatError(f"{p}: row {rno}: {len(cells)} cells, expected {len(header)}")
-        for col_name, cell in zip(header, cells):
-            if _SHORT_INT_RE.fullmatch(cell):
-                continue
-            if not _INT_RE.fullmatch(cell):
-                raise CsvFormatError(f"{p}: row {rno}, column {col_name}: not an integer: {cell!r}")
-            if not _INT64_MIN <= int(cell) <= _INT64_MAX:
-                raise CsvFormatError(
-                    f"{p}: row {rno}, column {col_name}: value {cell} outside the 64-bit integer range"
-                )
-        rows.append(tuple(int(c) for c in cells))
+    names, m = read_int_csv(p)
     if domain is not None:
-        schema = tuple(ColumnMeta(n, domain) for n in header)
-    elif rows:
-        data = np.array(rows, dtype=np.int64)
-        schema = tuple(
-            ColumnMeta(n, Domain(int(data[:, j].min()), int(data[:, j].max())))
-            for j, n in enumerate(header)
-        )
+        schema = [ColumnMeta(n, domain) for n in names]
+    elif m.shape[0]:
+        schema = spanning_schema(names, m)
     else:
         raise CsvFormatError(f"{p}: cannot infer domains of an empty table; supply a domain")
-    return Table(name or p.stem, schema, rows)
+    return Table(name or p.stem, schema, m)
+
+
+def spanning_schema(names: Sequence[str], m: np.ndarray) -> list[ColumnMeta]:
+    """Columns whose domains are the [min, max] of each column of a non-empty matrix."""
+    lo, hi = m.min(axis=0).tolist(), m.max(axis=0).tolist()
+    return [ColumnMeta(n, Domain(a, b)) for n, a, b in zip(names, lo, hi)]
 
 
 def save_csv(table: Table, path: str | Path) -> None:
     """Write a table in the load_csv format: header line, integer cells, LF newlines."""
-    lines = [",".join(table.column_names)]
-    lines.extend(",".join(str(v) for v in row) for row in table.rows)
-    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+    write_int_csv(path, table.column_names, table.matrix())
 
 
 def generate_uniform_table(
@@ -263,7 +310,7 @@ def generate_uniform_table(
     rng = np.random.default_rng(seed)
     data = rng.integers(domain.lo, domain.hi + 1, size=(n, num_columns), dtype=np.int64)
     columns = [ColumnMeta(f"C{i + 1}", domain) for i in range(num_columns)]
-    return Table(name, columns, data.tolist())
+    return Table(name, columns, data)
 
 
 def generate_correlated_table(
@@ -292,4 +339,4 @@ def generate_correlated_table(
     pts = rng.multivariate_normal([mu, mu], cov, size=n, method="cholesky")
     data = np.clip(np.rint(pts), domain.lo, domain.hi).astype(np.int64)
     columns = [ColumnMeta("C1", domain), ColumnMeta("C2", domain)]
-    return Table(name, columns, data.tolist())
+    return Table(name, columns, data)

@@ -109,9 +109,10 @@ def brute_force_result(tables: list[Table], plan: QueryPlan) -> set[tuple[int, .
     by_name = {t.name: t for t in tables}
     order = leaf_tables(plan)
     columns = {t.name: t.column_names for t in tables}
+    table_rows = {name: by_name[name].rows for name in order}
     out = set()
-    for combo in itertools.product(*(range(by_name[name].row_count) for name in order)):
-        rows = {name: by_name[name].rows[o] for name, o in zip(order, combo)}
+    for combo in itertools.product(*(range(len(table_rows[name])) for name in order)):
+        rows = {name: table_rows[name][o] for name, o in zip(order, combo)}
         if _combo_satisfies(plan, rows, columns):
             out.add(combo)
     return out

@@ -173,6 +173,26 @@ class TestEstimate:
         exact_field = line.split(",")[3]
         assert exact_field != ""
 
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_sample_cell_beyond_int64_exits_2(self, tmp_path, uniform_csv, capsys, exact):
+        sample_dir = tmp_path / "sample"
+        run(["build-sample", "--table", str(uniform_csv), "--size", "8", "--seed", "1",
+             "--out", str(sample_dir)])
+        path = sample_dir / "t.sample.csv"
+        lines = path.read_text().splitlines()
+        lines[3] = "3,36893488147419103232," + lines[3].split(",")[2]
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        argv = ["estimate", "--query", "SELECT * FROM t WHERE t.C1 < 5",
+                "--sample", str(sample_dir / "manifest.json")]
+        if exact:
+            argv += ["--exact-against", str(uniform_csv)]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: row 3, column C1: value 36893488147419103232 "
+            "outside the 64-bit integer range\n"
+        )
+
     def test_bad_query_exits_2(self, tmp_path, uniform_csv):
         sample_dir = tmp_path / "sample"
         run(["build-sample", "--table", str(uniform_csv), "--size", "8", "--seed", "1",

@@ -70,8 +70,8 @@ def test_unfiltered_theta_join_on_a_large_sample():
     sdb = create_sample(s, [a, b], seed=3)
     plan = parse_query("SELECT * FROM A, B WHERE A.C1 < B.C1", [a, b])
     records = estimate_all_nodes(sdb, plan)
-    av = sdb.table("A").aligned_matrix()[:, 0]
-    bv = sdb.table("B").aligned_matrix()[:, 0]
+    av = sdb.table("A").matrix()[:, 0]
+    bv = sdb.table("B").matrix()[:, 0]
     pairs = int(np.searchsorted(np.sort(av), bv, side="left").sum())
     assert records[-1].est_practitioner == pairs / s**2
     assert records[-1].est_indexed == int(np.count_nonzero(av < bv)) / s

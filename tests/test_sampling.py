@@ -1,9 +1,13 @@
 """Index-aligned sampler: invariants, determinism, uniformity, persistence."""
 
+import json
+
 import numpy as np
 import pytest
 
 from conftest import make_table
+from selsample.execution import estimate_all_nodes
+from selsample.queries import parse_query
 from selsample.sampling import (
     SampleDatabase,
     SampleTable,
@@ -12,6 +16,7 @@ from selsample.sampling import (
     load_sample,
     save_sample,
 )
+from selsample.tables import ColumnMeta, CsvFormatError, Domain, Table
 
 
 class TestCreateSample:
@@ -189,3 +194,101 @@ class TestSampleDatabase:
         assert "T" in sdb
         with pytest.raises(LookupError):
             sdb.table("X")
+
+
+def _write_sample(d, body: str, size: int = 3, columns=("C1", "C2")):
+    d.mkdir(parents=True, exist_ok=True)
+    manifest = {"size": size, "seed": 0, "tables": [{"base": "t", "file": "t.sample.csv", "columns": list(columns)}]}
+    (d / "manifest.json").write_text(json.dumps(manifest))
+    (d / "t.sample.csv").write_text("sampleindex," + ",".join(columns) + "\n" + body)
+    return d / "manifest.json"
+
+
+class TestSampleReader:
+    @pytest.mark.parametrize("cell", ["36893488147419103232", "-9223372036854775809"])
+    def test_cell_beyond_int64_names_file_row_and_column(self, tmp_path, cell):
+        manifest = _write_sample(tmp_path, f"1,1,2\n2,3,{cell}\n3,5,6\n")
+        with pytest.raises(CsvFormatError) as exc:
+            load_sample(manifest)
+        assert str(exc.value) == (
+            f"{tmp_path / 't.sample.csv'}: row 2, column C2: value {cell} outside the 64-bit integer range"
+        )
+
+    @pytest.mark.parametrize(
+        "line,msg",
+        [
+            ("2,3,4,5", "row 2: 4 cells, expected 3"),
+            ("2,3,", "row 2, column C2: not an integer: ''"),
+            ("2, 5,1", "row 2, column C1: not an integer: ' 5'"),
+            ("2,+5,1", "row 2, column C1: not an integer: '+5'"),
+            ("2,1.0,1", "row 2, column C1: not an integer: '1.0'"),
+        ],
+    )
+    def test_malformed_row_names_row_and_column(self, tmp_path, line, msg):
+        manifest = _write_sample(tmp_path, f"1,1,2\n{line}\n3,5,6\n")
+        with pytest.raises(CsvFormatError) as exc:
+            load_sample(manifest)
+        assert str(exc.value) == f"{tmp_path / 't.sample.csv'}: {msg}"
+
+    def test_index_permutation_checked(self, tmp_path):
+        manifest = _write_sample(tmp_path, "1,1,2\n1,3,4\n3,5,6\n")
+        with pytest.raises(ValueError, match=r"sampleindex values must be exactly 1\.\.3"):
+            load_sample(manifest)
+
+    def test_header_checked_against_manifest(self, tmp_path):
+        manifest = _write_sample(tmp_path, "1,1,2\n")
+        (tmp_path / "t.sample.csv").write_text("sampleindex,C2,C1\n1,1,2\n")
+        with pytest.raises(CsvFormatError) as exc:
+            load_sample(manifest)
+        assert str(exc.value) == (
+            f"{tmp_path / 't.sample.csv'}: header mismatch: "
+            "expected 'sampleindex,C1,C2', got 'sampleindex,C2,C1'"
+        )
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 3), (7, 1), (200, 2)])
+    def test_save_then_load_is_exact(self, tmp_path, shape):
+        rng = np.random.default_rng(shape[0] * 10 + shape[1])
+        n, k = shape
+        lo, hi = -(2**63), 2**63 - 1
+        m = rng.integers(lo, hi, size=(n, k), dtype=np.int64, endpoint=True)
+        m[0, 0], m[-1, -1] = lo, hi
+        cols = [ColumnMeta(f"C{j + 1}", Domain(lo, hi)) for j in range(k)]
+        sdb = create_sample(300, [Table("T", cols, m)], seed=n)
+        loaded = load_sample(save_sample(sdb, tmp_path / "s"))
+        assert np.array_equal(loaded.table("T").matrix(), sdb.table("T").matrix())
+        assert loaded.table("T").indexes == range(1, 301)
+
+    def test_shuffled_file_loads_in_sampleindex_order(self, tmp_path):
+        rng = np.random.default_rng(17)
+        a = make_table("A", rng.integers(0, 6, size=(40, 2)).tolist())
+        b = make_table("B", rng.integers(0, 6, size=(30, 2)).tolist())
+        sdb = create_sample(50, [a, b], seed=4)
+        manifest = save_sample(sdb, tmp_path / "s")
+        for name in ("A", "B"):
+            path = tmp_path / "s" / f"{name}.sample.csv"
+            header, *lines = path.read_text().splitlines()
+            shuffled = [lines[i] for i in rng.permutation(len(lines))]
+            path.write_text("\n".join([header, *shuffled]) + "\n")
+        loaded = load_sample(manifest)
+        for name in ("A", "B"):
+            assert loaded.table(name).rows == sdb.table(name).rows
+            assert loaded.table(name).indexes == range(1, 51)
+        plan = parse_query("SELECT * FROM A, B WHERE A.C1 < B.C2 AND A.C2 >= 2 AND B.C1 <> 3", [a, b])
+        assert estimate_all_nodes(loaded, plan, db=[a, b]) == estimate_all_nodes(sdb, plan, db=[a, b])
+
+
+class TestSampleStorage:
+    def test_stored_in_sampleindex_order(self):
+        st = SampleTable("T", ("C1",), [2, 3, 1], [(20,), (30,), (10,)])
+        assert st.rows == ((10,), (20,), (30,))
+        assert st.indexes == range(1, 4)
+        assert st.matrix().tolist() == [[10], [20], [30]]
+
+    def test_read_only(self):
+        st = create_sample(4, [make_table("T", [(1, 2), (3, 4)])], seed=1).table("T")
+        with pytest.raises(ValueError, match="read-only"):
+            st.matrix()[0, 0] = 5
+        with pytest.raises(AttributeError):
+            st.rows = ()
+        with pytest.raises(AttributeError):
+            st.indexes = range(4)

@@ -1,5 +1,7 @@
 """MCV + equi-depth histogram statistics and the independence estimator."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,41 @@ class TestBuildStats:
         assert ("T", "C1") in cat and ("T", "C2") in cat
         with pytest.raises(MissingStatsError):
             cat.get("T", "C9")
+
+
+def counter_reference_stats(values: np.ndarray, buckets: int, mcv: int):
+    """MCV list, histogram boundaries and distinct counts, by a Python Counter and sorted()."""
+    n = values.size
+    counts = Counter(values.tolist())
+    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    entries = tuple((v, c / n) for v, c in ranked[:mcv])
+    mcv_values = {v for v, _ in entries}
+    rest = sorted(v for v in values.tolist() if v not in mcv_values)
+    at = [min(len(rest) - 1, (k * len(rest)) // buckets) for k in range(buckets + 1)]
+    bounds = tuple(rest[i] for i in at) if rest else ()
+    return entries, bounds, len(counts), len(counts) - len(entries), len(rest) / n
+
+
+class TestBuildStatsMatchesCounterReference:
+    def test_random_columns_with_many_ties(self):
+        rng = np.random.default_rng(23)
+        for trial in range(60):
+            n = int(rng.integers(1, 400))
+            distinct = int(rng.integers(1, 30))
+            values = rng.integers(-distinct, distinct, size=n) * int(rng.integers(1, 4))
+            if trial % 3 == 0:  # skewed, so counts tie at several levels
+                values = np.minimum(values, int(rng.integers(-distinct, distinct)))
+            buckets = int(rng.integers(1, 12))
+            mcv = int(rng.integers(0, 12))
+            t = Table("T", [ColumnMeta("A", Domain(-200, 200))], values.reshape(-1, 1))
+            st = build_stats(t, buckets, mcv).get("T", "A")
+            entries, bounds, nd, nd_rest, total_rest = counter_reference_stats(values, buckets, mcv)
+            assert st.mcv.entries == entries
+            assert all(type(v) is int and type(f) is float for v, f in st.mcv.entries)
+            assert st.histogram.boundaries == bounds
+            assert (st.n_distinct, st.n_distinct_non_mcv) == (nd, nd_rest)
+            assert type(st.n_distinct) is int
+            assert st.histogram.total_fraction == total_rest
 
 
 class TestEstimateClause:

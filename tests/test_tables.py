@@ -195,3 +195,149 @@ class TestCorrelatedGenerator:
         t = generate_correlated_table("T", 5000, 0.0, [[1e6, 0.0], [0.0, 1e6]], Domain(-100, 100), seed=2)
         m = t.matrix()
         assert m.min() >= -100 and m.max() <= 100
+
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+
+
+def _random_matrix(rng, n: int, k: int) -> np.ndarray:
+    """Cells drawn from the int64 extremes, small signed values and the full range."""
+    pool = np.array([INT64_MIN, INT64_MIN + 1, -1, 0, 1, INT64_MAX - 1, INT64_MAX], dtype=np.int64)
+    kind = rng.integers(0, 3, size=(n, k))
+    return np.where(
+        kind == 0,
+        pool[rng.integers(0, pool.size, size=(n, k))],
+        np.where(
+            kind == 1,
+            rng.integers(-1000, 1001, size=(n, k)),
+            rng.integers(INT64_MIN, INT64_MAX, size=(n, k), dtype=np.int64, endpoint=True),
+        ),
+    )
+
+
+class TestReaderRoundTrip:
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 3), (5, 1), (40, 2), (300, 4)])
+    def test_save_then_read_is_exact(self, tmp_path, shape):
+        rng = np.random.default_rng(sum(shape))
+        for trial in range(3):
+            m = _random_matrix(rng, *shape)
+            names = [f"C{j + 1}" for j in range(shape[1])]
+            t = Table("t", [ColumnMeta(n, Domain(INT64_MIN, INT64_MAX)) for n in names], m)
+            p = tmp_path / f"t{trial}.csv"
+            save_csv(t, p)
+            assert np.array_equal(read_csv(p).matrix(), m)
+            assert np.array_equal(load_csv(p, t.columns).matrix(), m)
+            assert read_csv(p).rows == [tuple(r) for r in m.tolist()]
+
+    def test_save_formats_cells_as_python_str(self, tmp_path):
+        m = _random_matrix(np.random.default_rng(5), 50, 3)
+        t = Table("t", [ColumnMeta(f"C{j}", Domain(INT64_MIN, INT64_MAX)) for j in range(3)], m)
+        save_csv(t, tmp_path / "t.csv")
+        expected = "C0,C1,C2\n" + "".join(",".join(str(v) for v in row) + "\n" for row in m.tolist())
+        assert (tmp_path / "t.csv").read_bytes() == expected.encode()
+
+
+# One malformed cell per case, after a valid row: the cell, then the exact
+# message of read_csv (None: the cell is valid there) and of load_csv under
+# SCHEMA_0_10. The empty line checks that a blank line counts as a row.
+_MALFORMED = [
+    ("1,2,3", "row 2: 3 cells, expected 2", "row 2: 3 cells, expected 2"),
+    ("1,", "row 2, column C2: not an integer: ''", "row 2, column C2: not an integer: ''"),
+    (" 5,1", "row 2, column C1: not an integer: ' 5'", "row 2, column C1: not an integer: ' 5'"),
+    ("+5,1", "row 2, column C1: not an integer: '+5'", "row 2, column C1: not an integer: '+5'"),
+    ("1.0,1", "row 2, column C1: not an integer: '1.0'", "row 2, column C1: not an integer: '1.0'"),
+    ("5-,1", "row 2, column C1: not an integer: '5-'", "row 2, column C1: not an integer: '5-'"),
+    ("", "row 2: 1 cells, expected 2", "row 2: 1 cells, expected 2"),
+    (
+        "1,36893488147419103232",
+        "row 2, column C2: value 36893488147419103232 outside the 64-bit integer range",
+        "row 2, column C2: value 36893488147419103232 outside domain [0, 10]",
+    ),
+    (
+        "-09223372036854775809,1",
+        "row 2, column C1: value -09223372036854775809 outside the 64-bit integer range",
+        "row 2, column C1: value -9223372036854775809 outside domain [0, 10]",
+    ),
+    ("3,11", None, "row 2, column C2: value 11 outside domain [0, 10]"),
+]
+
+
+class TestReaderMessages:
+    @pytest.mark.parametrize("line,read_msg,load_msg", _MALFORMED)
+    def test_exact_message(self, tmp_path, line, read_msg, load_msg):
+        p = tmp_path / "t.csv"
+        p.write_text(f"C1,C2\n1,2\n{line}\n3,4\n")
+        if read_msg is not None:
+            with pytest.raises(CsvFormatError) as exc:
+                read_csv(p)
+            assert str(exc.value) == f"{p}: {read_msg}"
+        with pytest.raises(CsvFormatError) as exc:
+            load_csv(p, SCHEMA_0_10)
+        assert str(exc.value) == f"{p}: {load_msg}"
+
+    def test_error_after_many_valid_rows(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("C1,C2\n" + "1,2\n" * 1000 + "3,+4\n" + "5,6\n" * 10)
+        with pytest.raises(CsvFormatError) as exc:
+            read_csv(p)
+        assert str(exc.value) == f"{p}: row 1001, column C2: not an integer: '+4'"
+
+    def test_first_error_in_file_order(self, tmp_path):
+        # load_csv checks each cell's domain as it reads it: an earlier
+        # out-of-domain cell wins over a later malformed one.
+        p = tmp_path / "t.csv"
+        p.write_text("C1,C2\n11,x\n1,2,3\n")
+        with pytest.raises(CsvFormatError) as exc:
+            load_csv(p, SCHEMA_0_10)
+        assert str(exc.value) == f"{p}: row 1, column C1: value 11 outside domain [0, 10]"
+        p.write_text("C1,C2\n1,2\n1,2,3\n11,1\n")
+        with pytest.raises(CsvFormatError) as exc:
+            load_csv(p, SCHEMA_0_10)
+        assert str(exc.value) == f"{p}: row 2: 3 cells, expected 2"
+
+    def test_every_row_of_the_wrong_width(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("C1,C2\n1,2,3\n4,5,6\n")
+        with pytest.raises(CsvFormatError) as exc:
+            read_csv(p)
+        assert str(exc.value) == f"{p}: row 1: 3 cells, expected 2"
+
+    def test_non_ascii_digits_parse(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("C1,C2\n١٢,3\n4,5\n")
+        assert read_csv(p).rows == [(12, 3), (4, 5)]
+
+    def test_crlf_and_missing_final_newline(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_bytes(b"C1,C2\r\n1,2\r\n3,4")
+        assert read_csv(p).rows == [(1, 2), (3, 4)]
+
+
+class TestImmutable:
+    def test_matrix_and_columns_are_read_only(self):
+        t = Table("T", SCHEMA_0_10, [(1, 2), (3, 4)])
+        with pytest.raises(ValueError, match="read-only"):
+            t.matrix()[0, 0] = 5
+        with pytest.raises(ValueError, match="read-only"):
+            t.column_values("C2")[1] = 5
+        assert t.rows == [(1, 2), (3, 4)]
+
+    def test_rows_is_a_derived_view(self):
+        t = Table("T", SCHEMA_0_10, [(1, 2)])
+        with pytest.raises(AttributeError):
+            t.rows = [(3, 4)]
+        t.rows.append((5, 6))
+        assert t.rows == [(1, 2)] and t.row_count == 1
+        assert t.matrix().tolist() == [[1, 2]]
+
+    def test_callers_array_is_copied(self):
+        data = np.array([[1, 2], [3, 4]], dtype=np.int64)
+        t = Table("T", SCHEMA_0_10, data)
+        assert data.flags.writeable
+        data[0, 0] = 9
+        assert t.rows == [(1, 2), (3, 4)]
+        assert t.matrix().flags.c_contiguous and t.matrix().dtype == np.int64
+
+    def test_array_of_wrong_width_rejected(self):
+        with pytest.raises(ValueError, match="expected"):
+            Table("T", SCHEMA_0_10, np.zeros((2, 3), dtype=np.int64))
