@@ -10,10 +10,13 @@ No estimator builds a join result; each counts.
   practitioner estimate (all sample combinations that satisfy the plan,
   divided by s^u) and the exact cardinality on the base tables are weighted
   counts up that tree (Yannakakis, "Algorithms for Acyclic Database
-  Schemes", VLDB 1981). Per edge, the child's join values are sorted once and
-  a binary search per parent row finds the weight of its matches, which
-  multiplies into the parent's weights. Counts are exact integers: int64
-  while the product of the filtered leaf sizes fits, Python ints beyond.
+  Schemes", VLDB 1981). Per edge, the child's join values are sorted once,
+  and binary searches find each parent row's matching weight, which
+  multiplies into the parent's weights. The searches run over the parent
+  values in sorted order, where each one starts from the previous one's
+  bound, and their results go back to row order. Counts are exact integers:
+  int64 while the product of the filtered leaf sizes fits, Python ints
+  beyond.
 
 `execute_plan` is the reference implementation the counts are tested
 against. It builds the full result with nested-loop semantics: every pair of
@@ -195,6 +198,8 @@ def _matches(pv: np.ndarray, cv: np.ndarray, cw: np.ndarray | None, op: Comparis
     """Per parent value x, the total weight of child rows y with x op y.
 
     `cw` None means every child row weighs 1, which needs no cumulative sum.
+    The parent values are searched in sorted order, several times faster than
+    in row order, and the results are put back in row order.
     """
     if cw is None:
         sv, cum, total = np.sort(cv), None, cv.size
@@ -203,16 +208,23 @@ def _matches(pv: np.ndarray, cv: np.ndarray, cw: np.ndarray | None, op: Comparis
         sv = cv[order]
         cum = np.concatenate((np.zeros(1, dtype=cw.dtype), np.cumsum(cw[order])))
         total = cum[-1]
+    by_value = np.argsort(pv)
+    keys = pv[by_value]
     if op is ComparisonOp.LT:
-        return total - _weight_below(sv, cum, pv, "right")
-    if op is ComparisonOp.LE:
-        return total - _weight_below(sv, cum, pv, "left")
-    if op is ComparisonOp.GT:
-        return _weight_below(sv, cum, pv, "left")
-    if op is ComparisonOp.GE:
-        return _weight_below(sv, cum, pv, "right")
-    eq = _weight_below(sv, cum, pv, "right") - _weight_below(sv, cum, pv, "left")
-    return eq if op is ComparisonOp.EQ else total - eq
+        counts = total - _weight_below(sv, cum, keys, "right")
+    elif op is ComparisonOp.LE:
+        counts = total - _weight_below(sv, cum, keys, "left")
+    elif op is ComparisonOp.GT:
+        counts = _weight_below(sv, cum, keys, "left")
+    elif op is ComparisonOp.GE:
+        counts = _weight_below(sv, cum, keys, "right")
+    else:
+        counts = _weight_below(sv, cum, keys, "right") - _weight_below(sv, cum, keys, "left")
+        if op is ComparisonOp.NE:
+            counts = total - counts
+    out = np.empty_like(counts)
+    out[by_value] = counts
+    return out
 
 
 class _Counter:

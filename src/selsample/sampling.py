@@ -169,14 +169,50 @@ def save_sample(sampledb: SampleDatabase, out_dir: str | Path) -> Path:
     return manifest_path
 
 
+def _read_manifest(mp: Path) -> tuple[int, int, list[dict]]:
+    """The manifest's size, seed and table entries, checked for the keys and
+    types load_sample reads."""
+    try:
+        manifest = json.loads(mp.read_text())
+    except ValueError as exc:
+        raise ValueError(f"{mp}: not valid JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{mp}: the top level is not a JSON object")
+    for key in ("size", "seed", "tables"):
+        if key not in manifest:
+            raise ValueError(f"{mp}: no {key!r} entry")
+    ints = []
+    for key in ("size", "seed"):
+        try:
+            ints.append(int(manifest[key]))
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"{mp}: {key!r} is not an integer: {manifest[key]!r}") from None
+    tables = manifest["tables"]
+    if not isinstance(tables, list):
+        raise ValueError(f"{mp}: 'tables' is not a list")
+    for k, entry in enumerate(tables):
+        if not isinstance(entry, dict):
+            raise ValueError(f"{mp}: table entry {k} is not an object")
+        for key in ("base", "file", "columns"):
+            if key not in entry:
+                raise ValueError(f"{mp}: table entry {k} has no {key!r}")
+        for key in ("base", "file"):
+            if not isinstance(entry[key], str):
+                raise ValueError(f"{mp}: table entry {k}: {key!r} is not a string")
+        columns = entry["columns"]
+        if not isinstance(columns, list) or not all(isinstance(c, str) for c in columns):
+            raise ValueError(f"{mp}: table entry {k}: 'columns' is not a list of strings")
+    return ints[0], ints[1], tables
+
+
 def load_sample(manifest_path: str | Path) -> SampleDatabase:
     """Load a sample database previously written by save_sample."""
     mp = Path(manifest_path)
     if not mp.is_file():
         raise FileNotFoundError(f"no such manifest: {mp}")
-    manifest = json.loads(mp.read_text())
+    size, seed, entries = _read_manifest(mp)
     tables = []
-    for entry in manifest["tables"]:
+    for entry in entries:
         _, m = read_int_csv(mp.parent / entry["file"], ["sampleindex", *entry["columns"]])
         tables.append(SampleTable(entry["base"], entry["columns"], m[:, 0], m[:, 1:]))
-    return SampleDatabase(int(manifest["size"]), int(manifest["seed"]), tables)
+    return SampleDatabase(size, seed, tables)

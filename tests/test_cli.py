@@ -193,6 +193,41 @@ class TestEstimate:
             "outside the 64-bit integer range\n"
         )
 
+    def test_out_is_a_directory_exits_2(self, tmp_path, uniform_csv, capsys):
+        sample_dir = tmp_path / "sample"
+        run(["build-sample", "--table", str(uniform_csv), "--size", "8", "--seed", "1",
+             "--out", str(sample_dir)])
+        capsys.readouterr()
+        code = run(
+            ["estimate", "--query", "SELECT * FROM t WHERE t.C1 < 5",
+             "--sample", str(sample_dir / "manifest.json"), "--out", str(sample_dir)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(sample_dir) in err
+
+    def test_manifest_without_tables_exits_2(self, tmp_path, uniform_csv, capsys):
+        sample_dir = tmp_path / "sample"
+        run(["build-sample", "--table", str(uniform_csv), "--size", "8", "--seed", "1",
+             "--out", str(sample_dir)])
+        manifest = sample_dir / "manifest.json"
+        manifest.write_text(json.dumps({"size": 8, "seed": 1}))
+        capsys.readouterr()
+        code = run(["estimate", "--query", "SELECT * FROM t WHERE t.C1 < 5", "--sample", str(manifest)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {manifest}: no 'tables' entry\n"
+
+    def test_manifest_with_a_null_size_exits_2(self, tmp_path, uniform_csv, capsys):
+        sample_dir = tmp_path / "sample"
+        run(["build-sample", "--table", str(uniform_csv), "--size", "8", "--seed", "1",
+             "--out", str(sample_dir)])
+        manifest = sample_dir / "manifest.json"
+        manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "size": None}))
+        capsys.readouterr()
+        code = run(["estimate", "--query", "SELECT * FROM t WHERE t.C1 < 5", "--sample", str(manifest)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {manifest}: 'size' is not an integer: None\n"
+
     def test_bad_query_exits_2(self, tmp_path, uniform_csv):
         sample_dir = tmp_path / "sample"
         run(["build-sample", "--table", str(uniform_csv), "--size", "8", "--seed", "1",

@@ -1,7 +1,10 @@
 """The counting engine against brute force, beyond int64, and at sizes that
 rule out building join results."""
 
+import operator
+
 import numpy as np
+import pytest
 
 from conftest import (
     ALL_OPS,
@@ -11,7 +14,7 @@ from conftest import (
     random_plan,
     random_small_tables,
 )
-from selsample.execution import estimate_all_nodes, exact_cardinality, exact_selectivity
+from selsample.execution import _matches, estimate_all_nodes, exact_cardinality, exact_selectivity
 from selsample.queries import JoinNode, leaf_tables, parse_query, subplans
 from selsample.sampling import create_sample
 from selsample.tables import ColumnMeta, Domain, Table
@@ -75,3 +78,29 @@ def test_unfiltered_theta_join_on_a_large_sample():
     pairs = int(np.searchsorted(np.sort(av), bv, side="left").sum())
     assert records[-1].est_practitioner == pairs / s**2
     assert records[-1].est_indexed == int(np.count_nonzero(av < bv)) / s
+
+
+_PY_OPS = {"<": operator.lt, ">": operator.gt, "<=": operator.le, ">=": operator.ge, "=": operator.eq, "<>": operator.ne}
+
+
+@pytest.mark.parametrize("weights", ["none", "int64", "beyond int64"])
+@pytest.mark.parametrize("op", ALL_OPS, ids=lambda op: op.value)
+def test_matches_against_a_double_loop(op, weights):
+    rng = np.random.default_rng(43)
+    holds = _PY_OPS[op.value]
+    for n_parent, n_child in [(0, 5), (7, 0), (0, 0), (1, 1), (40, 25), (300, 200)]:
+        # Few distinct values, in random row order: heavy ties on both sides.
+        pv = rng.integers(-3, 4, size=n_parent)
+        cv = rng.integers(-3, 4, size=n_child)
+        if weights == "none":
+            cw, w = None, [1] * n_child
+        elif weights == "int64":
+            cw = rng.integers(0, 1_000, size=n_child)
+            w = cw.tolist()
+        else:
+            w = [2**63 + int(x) for x in rng.integers(0, 1_000, size=n_child)]
+            cw = np.array(w, dtype=object)
+        want = [sum(wy for y, wy in zip(cv.tolist(), w) if holds(x, y)) for x in pv.tolist()]
+        got = _matches(pv, cv, cw, op)
+        assert got.shape == (n_parent,)
+        assert [int(v) for v in got] == want

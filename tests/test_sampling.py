@@ -204,6 +204,86 @@ def _write_sample(d, body: str, size: int = 3, columns=("C1", "C2")):
     return d / "manifest.json"
 
 
+def _good_manifest() -> dict:
+    return {"size": 3, "seed": 0, "tables": [{"base": "t", "file": "t.sample.csv", "columns": ["C1", "C2"]}]}
+
+
+def _manifest_without(key: str) -> dict:
+    manifest = _good_manifest()
+    if key in manifest:
+        del manifest[key]
+    else:
+        del manifest["tables"][0][key]
+    return manifest
+
+
+def _manifest_with(key: str, value) -> dict:
+    manifest = _good_manifest()
+    if key in manifest:
+        manifest[key] = value
+    else:
+        manifest["tables"][0][key] = value
+    return manifest
+
+
+class TestManifestErrors:
+    def _load(self, tmp_path, text: str) -> str:
+        manifest = _write_sample(tmp_path, "1,1,2\n2,3,4\n3,5,6\n")
+        manifest.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            load_sample(manifest)
+        message = str(exc.value)
+        assert message.startswith(f"{manifest}: ")
+        return message
+
+    def test_invalid_json(self, tmp_path):
+        assert "not valid JSON" in self._load(tmp_path, '{"size": 3,\n')
+
+    def test_top_level_not_an_object(self, tmp_path):
+        assert "not a JSON object" in self._load(tmp_path, "[3, 0]")
+
+    @pytest.mark.parametrize("key", ["size", "seed", "tables"])
+    def test_missing_top_level_key(self, tmp_path, key):
+        assert repr(key) in self._load(tmp_path, json.dumps(_manifest_without(key)))
+
+    @pytest.mark.parametrize("key", ["base", "file", "columns"])
+    def test_table_entry_missing_key(self, tmp_path, key):
+        message = self._load(tmp_path, json.dumps(_manifest_without(key)))
+        assert message.endswith(f"table entry 0 has no {key!r}")
+
+    @pytest.mark.parametrize("key", ["size", "seed"])
+    @pytest.mark.parametrize("value", [None, "three", [3], 1e400])
+    def test_top_level_value_not_an_integer(self, tmp_path, key, value):
+        message = self._load(tmp_path, json.dumps(_manifest_with(key, value)))
+        assert message.endswith(f"{key!r} is not an integer: {value!r}")
+
+    def test_tables_not_a_list(self, tmp_path):
+        assert self._load(tmp_path, json.dumps(_manifest_with("tables", {"t": 1}))).endswith("'tables' is not a list")
+
+    @pytest.mark.parametrize("entry", ["t.sample.csv", ["t", "t.sample.csv", ["C1", "C2"]], None])
+    def test_table_entry_not_an_object(self, tmp_path, entry):
+        message = self._load(tmp_path, json.dumps(_manifest_with("tables", [entry])))
+        assert message.endswith("table entry 0 is not an object")
+
+    @pytest.mark.parametrize("key", ["base", "file"])
+    @pytest.mark.parametrize("value", [None, 5, ["t"]])
+    def test_table_entry_name_not_a_string(self, tmp_path, key, value):
+        message = self._load(tmp_path, json.dumps(_manifest_with(key, value)))
+        assert message.endswith(f"table entry 0: {key!r} is not a string")
+
+    @pytest.mark.parametrize("value", [5, None, "C1,C2", ["C1", 2], {"C1": 0, "C2": 1}])
+    def test_table_entry_columns_not_a_list_of_strings(self, tmp_path, value):
+        message = self._load(tmp_path, json.dumps(_manifest_with("columns", value)))
+        assert message.endswith("table entry 0: 'columns' is not a list of strings")
+
+    def test_int_convertible_size_and_seed_load_as_before(self, tmp_path):
+        manifest = _write_sample(tmp_path, "1,1,2\n2,3,4\n3,5,6\n")
+        manifest.write_text(json.dumps({**_good_manifest(), "size": "3", "seed": 7.0}))
+        sdb = load_sample(manifest)
+        assert (sdb.size, sdb.seed) == (3, 7)
+        assert sdb.table("t").rows == ((1, 2), (3, 4), (5, 6))
+
+
 class TestSampleReader:
     @pytest.mark.parametrize("cell", ["36893488147419103232", "-9223372036854775809"])
     def test_cell_beyond_int64_names_file_row_and_column(self, tmp_path, cell):
