@@ -45,7 +45,7 @@ from .queries import (
     subplans,
     to_sql,
 )
-from .sampling import SampleDatabase, SampleTable, aligned_tuple, create_sample, load_sample, save_sample
+from .sampling import SampleDatabase, SampleTable, create_sample, load_sample, save_sample
 from .stats import (
     ColumnStats,
     EquiDepthHistogram,
@@ -60,7 +60,6 @@ from .tables import (
     ColumnMeta,
     Domain,
     Table,
-    TupleRef,
     generate_correlated_table,
     generate_uniform_table,
     load_csv,

@@ -33,7 +33,6 @@ from .tables import (
     generate_uniform_table,
     read_csv,
     save_csv,
-    spanning_schema,
 )
 from .vcbounds import SampleSizeSpec, bound_general, sample_size_eps, sample_size_rel
 
@@ -169,11 +168,8 @@ def cmd_estimate(args) -> int:
         exact_tables = _load_tables(args.exact_against, _parse_domain(args))
         catalog = {t.name: t for t in exact_tables}
     else:
-        # Schema for parsing only: columns and value ranges taken from the sample.
-        catalog = {
-            st.base: Table(st.base, spanning_schema(st.columns, st.matrix()), st.matrix())
-            for st in sdb.tables
-        }
+        # A loaded sample table's domains span its values, so it parses as is.
+        catalog = {st.name: st for st in sdb.tables}
     plan = parse_query(args.query, catalog)
     records = estimate_all_nodes(sdb, plan, db=exact_tables)
     rows = [

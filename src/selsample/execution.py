@@ -45,8 +45,8 @@ from .queries import (
     leaf_tables,
     subplans,
 )
-from .sampling import SampleDatabase, SampleTable
-from .tables import Table, TupleRef
+from .sampling import SampleDatabase
+from .tables import Table
 
 __all__ = [
     "ResultSet",
@@ -60,7 +60,6 @@ __all__ = [
 ]
 
 Database = Union[Sequence[Table], SampleDatabase]
-Frame = Union[Table, SampleTable]
 
 _NP_OPS = {
     ComparisonOp.LT: np.less,
@@ -79,15 +78,6 @@ class ResultSet:
     tables: tuple[str, ...]
     rows: list[tuple[int, ...]]
 
-    @property
-    def arity(self) -> int:
-        return len(self.tables)
-
-    def tuple_refs(self) -> list[tuple[TupleRef, ...]]:
-        return [
-            tuple(TupleRef(t, o) for t, o in zip(self.tables, row)) for row in self.rows
-        ]
-
 
 @dataclass
 class EstimateRecord:
@@ -102,16 +92,13 @@ class EstimateRecord:
     cardinality_exact: int | None = None
 
 
-def _frames(db: Database, plan: QueryPlan) -> dict[str, Frame]:
+def _frames(db: Database, plan: QueryPlan) -> dict[str, Table]:
     """The tables the plan reads, by name, after checking that the plan fits them.
 
-    Sample tables are stored in sampleindex order, so row i of every sample
-    table belongs to the same aligned draw.
+    A sample table is a Table stored in sampleindex order, so row i of every
+    sample table belongs to the same aligned draw.
     """
-    if isinstance(db, SampleDatabase):
-        sources = {st.base: st for st in db.tables}
-    else:
-        sources = {t.name: t for t in db}
+    sources = {t.name: t for t in (db.tables if isinstance(db, SampleDatabase) else db)}
     names = leaf_tables(plan)
     frames = {}
     for name in names:
@@ -126,9 +113,9 @@ def _frames(db: Database, plan: QueryPlan) -> dict[str, Frame]:
     return frames
 
 
-def _mask(expr: BoolExpr | None, frame: Frame) -> np.ndarray:
+def _mask(expr: BoolExpr | None, frame: Table) -> np.ndarray:
     if expr is None:
-        return np.ones(len(frame.matrix()), dtype=bool)
+        return np.ones(frame.row_count, dtype=bool)
     if isinstance(expr, SelectionClause):
         return _NP_OPS[expr.op](frame.column_values(expr.column), expr.constant)
     if isinstance(expr, And):
@@ -234,7 +221,7 @@ class _Counter:
     evaluation of their leaves' predicates.
     """
 
-    def __init__(self, frames: dict[str, Frame]):
+    def __init__(self, frames: dict[str, Table]):
         self.frames = frames
         self._masks: dict[int, np.ndarray] = {}
 
@@ -301,7 +288,7 @@ class _Counter:
 def _denominator(plan: QueryPlan, frames) -> int:
     denom = 1
     for t in leaf_tables(plan):
-        n = len(frames[t].matrix())
+        n = frames[t].row_count
         if n == 0:
             raise ValueError(f"selectivity undefined: table {t!r} is empty")
         denom *= n

@@ -10,80 +10,38 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .tables import Table, int_matrix, read_int_csv, write_int_csv
+from .tables import Table, read_int_csv, spanning_schema, write_int_csv
 
 __all__ = [
     "SampleTable",
     "SampleDatabase",
     "create_sample",
-    "aligned_tuple",
     "save_sample",
     "load_sample",
 ]
 
 
-class SampleTable:
-    """Uniform with-replacement sample of one base table, rows tagged 1..s.
+class SampleTable(Table):
+    """Uniform with-replacement sample of one base table: a Table of the same
+    name whose row i is the draw tagged with sampleindex i + 1.
 
-    The rows are stored in sampleindex order, as one read-only int64 matrix:
-    row i holds the draw tagged i + 1, so `indexes` is 1..s and the i-th rows
-    of all sample tables of a database form one aligned draw. The constructor
-    takes the index values in any order, as long as they are exactly the set
-    {1, ..., s} with no repeats.
+    So the i-th rows of all sample tables of a database form one aligned
+    draw, and a sample table serves anywhere a Table does.
     """
 
-    def __init__(
-        self,
-        base: str,
-        columns: Sequence[str],
-        indexes: Sequence[int] | np.ndarray,
-        rows: np.ndarray | Iterable[Sequence[int]],
-    ):
-        self.base = base
-        self.columns = tuple(columns)
-        m = int_matrix(rows, len(self.columns))
-        s = m.shape[0]
-        idx = np.asarray(indexes, dtype=np.int64)
-        if idx.shape != (s,):
-            raise ValueError("index/row length mismatch")
-        order = np.argsort(idx)
-        if not np.array_equal(idx[order], np.arange(1, s + 1)):
-            raise ValueError(f"sampleindex values must be exactly 1..{s} with no repeats")
-        self._matrix = m[order]
-        self._matrix.flags.writeable = False
-
     @property
-    def size(self) -> int:
-        return self._matrix.shape[0]
+    def base(self) -> str:
+        """The sampled base table's name."""
+        return self.name
 
     @property
     def indexes(self) -> range:
         """The sampleindex of each row of `rows`."""
-        return range(1, self.size + 1)
-
-    @property
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        """The rows as tuples in sampleindex order, rebuilt from the matrix on every access."""
-        return tuple(map(tuple, self._matrix.tolist()))
-
-    def row_at_index(self, i: int) -> tuple[int, ...]:
-        """The unique sampled row whose sampleindex equals i."""
-        if not 1 <= i <= self.size:
-            raise IndexError(f"sampleindex {i} out of range 1..{self.size}")
-        return tuple(self._matrix[i - 1].tolist())
-
-    def matrix(self) -> np.ndarray:
-        """The read-only int64 matrix of the rows, in sampleindex order."""
-        return self._matrix
-
-    def column_values(self, name: str) -> np.ndarray:
-        if name not in self.columns:
-            raise LookupError(f"table {self.base!r} has no column {name!r}")
-        return self._matrix[:, self.columns.index(name)]
+        return range(1, self.row_count + 1)
 
 
 class SampleDatabase:
@@ -93,22 +51,18 @@ class SampleDatabase:
         tables = tuple(tables)
         if not tables:
             raise ValueError("a sample database needs at least one table")
-        names = [t.base for t in tables]
+        names = [t.name for t in tables]
         if len(set(names)) != len(names):
             raise ValueError("sample tables must cover distinct base tables")
         for t in tables:
-            if t.size != size:
+            if t.row_count != size:
                 raise ValueError(
-                    f"sample table {t.base!r} has {t.size} rows, expected {size}"
+                    f"sample table {t.name!r} has {t.row_count} rows, expected {size}"
                 )
         self.size = size
         self.seed = seed
         self.tables = tables
-        self._by_base = {t.base: t for t in tables}
-
-    @property
-    def base_names(self) -> tuple[str, ...]:
-        return tuple(t.base for t in self.tables)
+        self._by_base = dict(zip(names, tables))
 
     def __contains__(self, base: str) -> bool:
         return base in self._by_base
@@ -138,15 +92,8 @@ def create_sample(s: int, tables: Sequence[Table], seed: int) -> SampleDatabase:
     sampled = []
     for t in tables:
         ordinals = rng.integers(0, t.row_count, size=s)
-        sampled.append(SampleTable(t.name, t.column_names, np.arange(1, s + 1), t.matrix()[ordinals]))
+        sampled.append(SampleTable(t.name, t.columns, t.matrix()[ordinals]))
     return SampleDatabase(s, seed, sampled)
-
-
-def aligned_tuple(sampledb: SampleDatabase, i: int) -> list[tuple[int, ...]]:
-    """The rows, one per sample table, whose sampleindex equals i."""
-    if not 1 <= i <= sampledb.size:
-        raise IndexError(f"sampleindex {i} out of range 1..{sampledb.size}")
-    return [t.row_at_index(i) for t in sampledb.tables]
 
 
 def save_sample(sampledb: SampleDatabase, out_dir: str | Path) -> Path:
@@ -159,10 +106,10 @@ def save_sample(sampledb: SampleDatabase, out_dir: str | Path) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     entries = []
     for st in sampledb.tables:
-        fname = f"{st.base}.sample.csv"
-        tagged = np.column_stack((np.arange(1, st.size + 1), st.matrix()))
-        write_int_csv(out / fname, ("sampleindex", *st.columns), tagged)
-        entries.append({"base": st.base, "file": fname, "columns": list(st.columns)})
+        fname = f"{st.name}.sample.csv"
+        tagged = np.column_stack((st.indexes, st.matrix()))
+        write_int_csv(out / fname, ("sampleindex", *st.column_names), tagged)
+        entries.append({"base": st.name, "file": fname, "columns": list(st.column_names)})
     manifest = {"size": sampledb.size, "seed": sampledb.seed, "tables": entries}
     manifest_path = out / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", newline="\n")
@@ -187,6 +134,8 @@ def _read_manifest(mp: Path) -> tuple[int, int, list[dict]]:
             ints.append(int(manifest[key]))
         except (TypeError, ValueError, OverflowError):
             raise ValueError(f"{mp}: {key!r} is not an integer: {manifest[key]!r}") from None
+    if ints[0] < 1:
+        raise ValueError(f"{mp}: 'size' must be at least 1")
     tables = manifest["tables"]
     if not isinstance(tables, list):
         raise ValueError(f"{mp}: 'tables' is not a list")
@@ -206,13 +155,29 @@ def _read_manifest(mp: Path) -> tuple[int, int, list[dict]]:
 
 
 def load_sample(manifest_path: str | Path) -> SampleDatabase:
-    """Load a sample database previously written by save_sample."""
+    """Load a sample database previously written by save_sample.
+
+    Each sample file's sampleindex values must be exactly 1..size, in any
+    order; the rows are stored in sampleindex order. Column domains are the
+    [min, max] of the sampled values.
+    """
     mp = Path(manifest_path)
     if not mp.is_file():
         raise FileNotFoundError(f"no such manifest: {mp}")
     size, seed, entries = _read_manifest(mp)
     tables = []
     for entry in entries:
-        _, m = read_int_csv(mp.parent / entry["file"], ["sampleindex", *entry["columns"]])
-        tables.append(SampleTable(entry["base"], entry["columns"], m[:, 0], m[:, 1:]))
-    return SampleDatabase(size, seed, tables)
+        path = mp.parent / entry["file"]
+        _, m = read_int_csv(path, ["sampleindex", *entry["columns"]])
+        order = np.argsort(m[:, 0])
+        if not np.array_equal(m[order, 0], np.arange(1, size + 1)):
+            raise ValueError(f"{path}: sampleindex values must be exactly 1..{size} with no repeats")
+        rows = m[order, 1:]
+        try:
+            tables.append(SampleTable(entry["base"], spanning_schema(entry["columns"], rows), rows))
+        except ValueError as exc:
+            raise ValueError(f"{mp}: {exc}") from None
+    try:
+        return SampleDatabase(size, seed, tables)
+    except ValueError as exc:
+        raise ValueError(f"{mp}: {exc}") from None

@@ -129,10 +129,10 @@ def brute_force_selectivity(tables: list[Table], plan: QueryPlan) -> float:
 def aligned_oracle_selectivity(sampledb: SampleDatabase, plan: QueryPlan) -> float:
     """Plan selectivity over the aligned-tuple database: the rows sharing each
     sampleindex are treated as one sample of the Cartesian product."""
-    columns = {st.base: st.columns for st in sampledb.tables}
+    columns = {st.name: st.column_names for st in sampledb.tables}
+    rows = {st.name: st.rows for st in sampledb.tables}
     count = 0
-    for i in range(1, sampledb.size + 1):
-        rows = {st.base: st.row_at_index(i) for st in sampledb.tables}
-        if _combo_satisfies(plan, rows, columns):
+    for i in range(sampledb.size):
+        if _combo_satisfies(plan, {name: r[i] for name, r in rows.items()}, columns):
             count += 1
     return count / sampledb.size

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from selsample.cli import main
+from selsample.queries import SchemaWarning
 from selsample.sampling import load_sample
 from selsample.stats import load_stats
 from selsample.tables import read_csv
@@ -78,7 +79,7 @@ class TestBuildSample:
         assert code == 0
         sdb = load_sample(out / "manifest.json")
         assert sdb.size == 50
-        assert sdb.base_names == ("t",)
+        assert [st.name for st in sdb.tables] == ["t"]
 
     def test_auto_size_from_bound(self, tmp_path, uniform_csv):
         out = tmp_path / "sample"
@@ -228,6 +229,38 @@ class TestEstimate:
         assert code == 2
         assert capsys.readouterr().err == f"error: {manifest}: 'size' is not an integer: None\n"
 
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_sample_of_size_0_exits_2(self, tmp_path, uniform_csv, capsys, exact):
+        sample_dir = tmp_path / "sample"
+        sample_dir.mkdir()
+        (sample_dir / "t.sample.csv").write_text("sampleindex,C1,C2\n")
+        manifest = sample_dir / "manifest.json"
+        entry = {"base": "t", "file": "t.sample.csv", "columns": ["C1", "C2"]}
+        manifest.write_text(json.dumps({"size": 0, "seed": 1, "tables": [entry]}))
+        argv = ["estimate", "--query", "SELECT * FROM t WHERE t.C1 < 5", "--sample", str(manifest)]
+        if exact:
+            argv += ["--exact-against", str(uniform_csv)]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == f"error: {manifest}: 'size' must be at least 1\n"
+
+    @pytest.mark.parametrize("fault", ["repeated index", "invalid base"])
+    def test_sample_file_error_names_the_file(self, tmp_path, uniform_csv, capsys, fault):
+        sample_dir = tmp_path / "sample"
+        run(["build-sample", "--table", str(uniform_csv), "--size", "8", "--seed", "1",
+             "--out", str(sample_dir)])
+        manifest = sample_dir / "manifest.json"
+        path = sample_dir / "t.sample.csv"
+        if fault == "repeated index":
+            path.write_text(path.read_text().replace("\n2,", "\n1,"))
+            want = f"error: {path}: sampleindex values must be exactly 1..8 with no repeats\n"
+        else:
+            manifest.write_text(manifest.read_text().replace('"base": "t"', '"base": "t-1"'))
+            want = f"error: {manifest}: invalid table name: 't-1'\n"
+        capsys.readouterr()
+        code = run(["estimate", "--query", "SELECT * FROM t WHERE t.C1 < 5", "--sample", str(manifest)])
+        assert code == 2
+        assert capsys.readouterr().err == want
+
     def test_bad_query_exits_2(self, tmp_path, uniform_csv):
         sample_dir = tmp_path / "sample"
         run(["build-sample", "--table", str(uniform_csv), "--size", "8", "--seed", "1",
@@ -272,3 +305,145 @@ class TestExperiment:
              "--workload-m", "1", "--workload-b", "1", "--out-dir", str(tmp_path / "e")]
         )
         assert code == 2
+
+
+# Small inputs and a hand-written sample for commands that draw no random
+# numbers; their outputs are pinned byte for byte. The sample files list their
+# rows out of sampleindex order on purpose.
+PINNED_FILES = {
+    "t.csv": "C1,C2\n1,9\n4,2\n7,5\n2,8\n9,1\n5,5\n",
+    "u.csv": "C1,C2\n3,4\n6,7\n2,2\n8,9\n5,1\n",
+    "v.csv": "C1,C2\n4,3\n1,6\n7,7\n3,2\n",
+    "sample/t.sample.csv": "sampleindex,C1,C2\n3,7,5\n1,1,9\n4,5,5\n2,9,1\n",
+    "sample/u.sample.csv": "sampleindex,C1,C2\n2,6,7\n4,5,1\n1,3,4\n3,8,9\n",
+    "sample/v.sample.csv": "sampleindex,C1,C2\n1,4,3\n2,7,7\n3,1,6\n4,3,2\n",
+    "sample/manifest.json": json.dumps(
+        {
+            "size": 4,
+            "seed": 7,
+            "tables": [
+                {"base": n, "file": f"{n}.sample.csv", "columns": ["C1", "C2"]} for n in "tuv"
+            ],
+        }
+    ),
+}
+
+# name: (the tables it reads, query)
+PINNED_QUERIES = {
+    "select": ("t", "SELECT * FROM t WHERE t.C1 >= 3 AND t.C2 < 6"),
+    "join": ("tu", "SELECT * FROM t, u WHERE t.C1 < u.C1 AND u.C2 >= 2"),
+    "chain": ("tuv", "SELECT * FROM t, u, v WHERE t.C1 < u.C1 AND u.C2 > v.C2 AND v.C1 <> 7"),
+}
+
+
+def _pinned_run(d, capsys, argv, out_name):
+    """Run one command in a fresh copy of the pinned inputs in d; returns its
+    stdout and the bytes of the file it wrote, with the directory as <dir>."""
+    (d / "sample").mkdir()
+    for name, text in PINNED_FILES.items():
+        (d / name).write_text(text, newline="\n")
+    argv = [a.replace("<dir>", str(d)) for a in argv]
+    if out_name is not None:
+        argv += ["--out", str(d / out_name)]
+    capsys.readouterr()
+    assert run(argv) == 0
+    out = capsys.readouterr().out.replace(str(d), "<dir>")
+    written = None if out_name is None else (d / out_name).read_bytes()
+    return out, written
+
+
+def _estimate_argv(name, exact):
+    tables, query = PINNED_QUERIES[name]
+    argv = ["estimate", "--query", query, "--sample", "<dir>/sample/manifest.json"]
+    for table in tables if exact else ():
+        argv += ["--exact-against", f"<dir>/{table}.csv"]
+    return argv
+
+
+_HEADER = "query_id,node_id,node_kind,exact,est_indexed,est_practitioner,s,seed\n"
+
+# case: (argv, file written with --out or None, stdout, that file's bytes)
+PINNED_CASES = {
+    "build-stats": (
+        ["build-stats", "--table", "<dir>/t.csv", "--table", "<dir>/u.csv", "--buckets", "2", "--mcv", "2"],
+        "stats.txt",
+        "wrote <dir>/stats.txt: statistics for 4 column(s)\n",
+        b"catalog buckets=2 mcv_capacity=2\n"
+        b"column table=t name=C1 n_distinct=6 n_distinct_non_mcv=4 total_non_mcv=0.6666666666666666 bucket_fraction=0.3333333333333333\n"
+        b"mcv 1 0.16666666666666666\nmcv 2 0.16666666666666666\nboundary 4\nboundary 7\nboundary 9\n"
+        b"column table=t name=C2 n_distinct=5 n_distinct_non_mcv=3 total_non_mcv=0.5 bucket_fraction=0.25\n"
+        b"mcv 5 0.3333333333333333\nmcv 1 0.16666666666666666\nboundary 2\nboundary 8\nboundary 9\n"
+        b"column table=u name=C1 n_distinct=5 n_distinct_non_mcv=3 total_non_mcv=0.6 bucket_fraction=0.3\n"
+        b"mcv 2 0.2\nmcv 3 0.2\nboundary 5\nboundary 6\nboundary 8\n"
+        b"column table=u name=C2 n_distinct=5 n_distinct_non_mcv=3 total_non_mcv=0.6 bucket_fraction=0.3\n"
+        b"mcv 1 0.2\nmcv 2 0.2\nboundary 4\nboundary 7\nboundary 9\n",
+    ),
+    "select": (
+        _estimate_argv("select", False),
+        None,
+        _HEADER + "0,0,select,,0.75,0.75,4,7\n",
+        None,
+    ),
+    "select-exact": (
+        _estimate_argv("select", True),
+        "select.csv",
+        "wrote <dir>/select.csv: 1 node estimate(s)\n",
+        (_HEADER + "0,0,select,0.6666666666666666,0.75,0.75,4,7\n").encode(),
+    ),
+    "join": (
+        _estimate_argv("join", False),
+        None,
+        _HEADER + "0,0,select,,1.0,1.0,4,7\n0,1,select,,0.75,0.75,4,7\n0,2,join,,0.5,0.375,4,7\n",
+        None,
+    ),
+    "join-exact": (
+        _estimate_argv("join", True),
+        "join.csv",
+        "wrote <dir>/join.csv: 3 node estimate(s)\n",
+        (
+            _HEADER + "0,0,select,1.0,1.0,1.0,4,7\n0,1,select,0.8,0.75,0.75,4,7\n"
+            "0,2,join,0.4,0.5,0.375,4,7\n"
+        ).encode(),
+    ),
+    "chain": (
+        _estimate_argv("chain", False),
+        None,
+        _HEADER + "0,0,select,,1.0,1.0,4,7\n0,1,select,,1.0,1.0,4,7\n0,2,join,,0.5,0.4375,4,7\n"
+        "0,3,select,,0.75,0.75,4,7\n0,4,join,,0.5,0.265625,4,7\n",
+        None,
+    ),
+    "chain-exact": (
+        _estimate_argv("chain", True),
+        "chain.csv",
+        "wrote <dir>/chain.csv: 5 node estimate(s)\n",
+        (
+            _HEADER + "0,0,select,1.0,1.0,1.0,4,7\n0,1,select,1.0,1.0,1.0,4,7\n"
+            "0,2,join,0.5,0.5,0.4375,4,7\n0,3,select,0.75,0.75,0.75,4,7\n"
+            "0,4,join,0.25833333333333336,0.5,0.265625,4,7\n"
+        ).encode(),
+    ),
+}
+
+
+class TestPinnedOutputs:
+    """Standard output and written files, byte for byte as recorded."""
+
+    @pytest.mark.parametrize("case", sorted(PINNED_CASES))
+    def test_bytes(self, tmp_path, capsys, case):
+        argv, out_name, want_stdout, want_file = PINNED_CASES[case]
+        out, written = _pinned_run(tmp_path, capsys, argv, out_name)
+        assert out == want_stdout
+        assert written == want_file
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_schema_warning_text(self, tmp_path, capsys, exact):
+        # The parse catalog's domains come from the sample ([3, 8]) or from
+        # the --exact-against table ([2, 8]).
+        argv = ["estimate", "--query", "SELECT * FROM u WHERE u.C1 < 100",
+                "--sample", "<dir>/sample/manifest.json"]
+        if exact:
+            argv += ["--exact-against", "<dir>/u.csv"]
+        with pytest.warns(SchemaWarning) as caught:
+            _pinned_run(tmp_path, capsys, argv, None)
+        domain = "[2, 8]" if exact else "[3, 8]"
+        assert [str(w.message) for w in caught] == [f"constant 100 outside domain {domain} of column u.C1"]

@@ -32,10 +32,12 @@ from selsample.queries import (
     parse_query,
 )
 from selsample.sampling import SampleDatabase, SampleTable, create_sample
+from selsample.tables import ColumnMeta, Domain
 
 EQ = ComparisonOp.EQ
 GE = ComparisonOp.GE
 LE = ComparisonOp.LE
+ONE_COLUMN = [ColumnMeta("C1", Domain(0, 5))]
 
 
 def join_plan(cond_op=EQ, left_pred=None, right_pred=None, col="C1"):
@@ -95,12 +97,6 @@ class TestExecutePlan:
         t = make_table("T", [(0, 0)])
         with pytest.raises(LookupError, match="not present"):
             execute_plan([t], SelectLeaf("X", None))
-
-    def test_tuple_refs(self):
-        t = make_table("T", [(0, 0), (3, 0)])
-        refs = execute_plan([t], SelectLeaf("T", SelectionClause("C1", GE, 1))).tuple_refs()
-        assert len(refs) == 1
-        assert refs[0][0].table == "T" and refs[0][0].ordinal == 1
 
 
 class TestExecuteRandomized:
@@ -166,8 +162,8 @@ class TestExactSelectivity:
 
 def spec_sample_pair():
     """The worked 3-row instance: S1 has C1 = 1,2,3 and S2 has C1 = 1,5,3."""
-    s1 = SampleTable("A", ("C1",), [1, 2, 3], [(1,), (2,), (3,)])
-    s2 = SampleTable("B", ("C1",), [1, 2, 3], [(1,), (5,), (3,)])
+    s1 = SampleTable("A", ONE_COLUMN, [(1,), (2,), (3,)])
+    s2 = SampleTable("B", ONE_COLUMN, [(1,), (5,), (3,)])
     return SampleDatabase(3, 0, [s1, s2])
 
 
@@ -193,8 +189,8 @@ class TestEstimators:
 
     def test_unaligned_matches_count_zero(self):
         # Matches exist but never on the same index: indexed 0, practitioner > 0.
-        s1 = SampleTable("A", ("C1",), [1, 2], [(1,), (2,)])
-        s2 = SampleTable("B", ("C1",), [1, 2], [(2,), (1,)])
+        s1 = SampleTable("A", ONE_COLUMN, [(1,), (2,)])
+        s2 = SampleTable("B", ONE_COLUMN, [(2,), (1,)])
         sdb = SampleDatabase(2, 0, [s1, s2])
         assert estimate_indexed(sdb, join_plan()) == 0.0
         assert estimate_practitioner(sdb, join_plan()) == pytest.approx(2 / 4)

@@ -1,8 +1,9 @@
 """The benchmark's self-test against the program in this checkout.
 
-The benchmark reads `Table.rows`, `SampleTable.rows` and `SampleTable.indexes`
-to build its own copies of the data; a storage change that breaks those reads
-fails here rather than only when the benchmark runs.
+The benchmark reads `Table.rows`, and the `rows`, `base` and `indexes` of
+each sample table (a `Table` stored in sampleindex order), to build its own
+copies of the data; a storage change that breaks those reads fails here
+rather than only when the benchmark runs.
 """
 
 import subprocess

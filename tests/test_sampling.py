@@ -8,14 +8,7 @@ import pytest
 from conftest import make_table
 from selsample.execution import estimate_all_nodes
 from selsample.queries import parse_query
-from selsample.sampling import (
-    SampleDatabase,
-    SampleTable,
-    aligned_tuple,
-    create_sample,
-    load_sample,
-    save_sample,
-)
+from selsample.sampling import SampleDatabase, create_sample, load_sample, save_sample
 from selsample.tables import ColumnMeta, CsvFormatError, Domain, Table
 
 
@@ -24,7 +17,7 @@ class TestCreateSample:
         t = make_table("T", [(3, 4)])
         sdb = create_sample(3, [t], seed=1)
         st = sdb.table("T")
-        assert st.rows == ((3, 4), (3, 4), (3, 4))
+        assert st.rows == [(3, 4), (3, 4), (3, 4)]
         assert sorted(st.indexes) == [1, 2, 3]
 
     def test_index_sets_complete(self):
@@ -32,7 +25,7 @@ class TestCreateSample:
         b = make_table("B", [(5, 5), (4, 4)])
         sdb = create_sample(5, [a, b], seed=2)
         for st in sdb.tables:
-            assert st.size == 5
+            assert st.row_count == 5
             assert sorted(st.indexes) == [1, 2, 3, 4, 5]
 
     def test_rows_come_from_base(self):
@@ -91,52 +84,17 @@ class TestCreateSample:
 
 
 class TestSampleTable:
-    def test_index_multiset_enforced(self):
-        with pytest.raises(ValueError, match="sampleindex"):
-            SampleTable("T", ("C1",), [1, 1, 3], [(0,), (1,), (2,)])
-        with pytest.raises(ValueError, match="sampleindex"):
-            SampleTable("T", ("C1",), [0, 1, 2], [(0,), (1,), (2,)])
-
-    def test_row_at_index(self):
-        st = SampleTable("T", ("C1",), [2, 1, 3], [(20,), (10,), (30,)])
-        assert st.row_at_index(1) == (10,)
-        assert st.row_at_index(2) == (20,)
-        with pytest.raises(IndexError):
-            st.row_at_index(4)
-
-
-class TestAlignedTuple:
-    def test_one_row_per_table(self):
-        a = make_table("A", [(0, 0), (1, 1)])
-        b = make_table("B", [(5, 5), (4, 4)])
-        sdb = create_sample(4, [a, b], seed=7)
-        rows = aligned_tuple(sdb, 1)
-        assert rows == [sdb.table("A").row_at_index(1), sdb.table("B").row_at_index(1)]
-
-    def test_iteration_covers_every_sample_row_once(self):
-        a = make_table("A", [(0, 0), (1, 1), (2, 2)])
-        b = make_table("B", [(5, 5), (4, 4)])
-        sdb = create_sample(6, [a, b], seed=8)
-        seen_a = []
-        seen_b = []
-        for i in range(1, 7):
-            ra, rb = aligned_tuple(sdb, i)
-            seen_a.append(ra)
-            seen_b.append(rb)
-        assert sorted(seen_a) == sorted(sdb.table("A").rows)
-        assert sorted(seen_b) == sorted(sdb.table("B").rows)
-
-    def test_single_table_is_lookup(self):
-        t = make_table("T", [(0, 0), (1, 1)])
-        sdb = create_sample(3, [t], seed=1)
-        assert aligned_tuple(sdb, 2) == [sdb.table("T").row_at_index(2)]
-
-    def test_out_of_range(self):
-        sdb = create_sample(3, [make_table("T", [(0, 0)])], seed=1)
-        with pytest.raises(IndexError):
-            aligned_tuple(sdb, 0)
-        with pytest.raises(IndexError):
-            aligned_tuple(sdb, 4)
+    def test_index_multiset_enforced(self, tmp_path):
+        # A repeat, 0-based indexes, a gap, too few rows and no rows.
+        for k, body in enumerate(
+            ["1,1,2\n1,3,4\n3,5,6\n", "0,1,2\n1,3,4\n2,5,6\n", "1,1,2\n2,3,4\n4,5,6\n", "2,1,2\n1,3,4\n", ""]
+        ):
+            manifest = _write_sample(tmp_path / str(k), body)
+            with pytest.raises(ValueError) as exc:
+                load_sample(manifest)
+            assert str(exc.value) == (
+                f"{tmp_path / str(k) / 't.sample.csv'}: sampleindex values must be exactly 1..3 with no repeats"
+            )
 
 
 class TestPersistence:
@@ -150,7 +108,7 @@ class TestPersistence:
         assert loaded.seed == 13
         for st, lt in zip(sdb.tables, loaded.tables):
             assert st.base == lt.base
-            assert st.columns == lt.columns
+            assert st.column_names == lt.column_names
             assert st.indexes == lt.indexes
             assert st.rows == lt.rows
 
@@ -257,6 +215,20 @@ class TestManifestErrors:
         message = self._load(tmp_path, json.dumps(_manifest_with(key, value)))
         assert message.endswith(f"{key!r} is not an integer: {value!r}")
 
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_size_below_one(self, tmp_path, size):
+        assert self._load(tmp_path, json.dumps(_manifest_with("size", size))).endswith("'size' must be at least 1")
+
+    def test_invalid_base_name(self, tmp_path):
+        message = self._load(tmp_path, json.dumps(_manifest_with("base", "t-1")))
+        assert message.endswith("invalid table name: 't-1'")
+
+    @pytest.mark.parametrize("count,message", [(0, "needs at least one table"), (2, "distinct base tables")])
+    def test_tables_empty_or_repeated(self, tmp_path, count, message):
+        manifest = _good_manifest()
+        manifest["tables"] *= count
+        assert message in self._load(tmp_path, json.dumps(manifest))
+
     def test_tables_not_a_list(self, tmp_path):
         assert self._load(tmp_path, json.dumps(_manifest_with("tables", {"t": 1}))).endswith("'tables' is not a list")
 
@@ -281,7 +253,7 @@ class TestManifestErrors:
         manifest.write_text(json.dumps({**_good_manifest(), "size": "3", "seed": 7.0}))
         sdb = load_sample(manifest)
         assert (sdb.size, sdb.seed) == (3, 7)
-        assert sdb.table("t").rows == ((1, 2), (3, 4), (5, 6))
+        assert sdb.table("t").rows == [(1, 2), (3, 4), (5, 6)]
 
 
 class TestSampleReader:
@@ -358,11 +330,12 @@ class TestSampleReader:
 
 
 class TestSampleStorage:
-    def test_stored_in_sampleindex_order(self):
-        st = SampleTable("T", ("C1",), [2, 3, 1], [(20,), (30,), (10,)])
-        assert st.rows == ((10,), (20,), (30,))
+    def test_stored_in_sampleindex_order(self, tmp_path):
+        st = load_sample(_write_sample(tmp_path, "2,20,5\n3,30,4\n1,10,6\n")).table("t")
+        assert st.rows == [(10, 6), (20, 5), (30, 4)]
         assert st.indexes == range(1, 4)
-        assert st.matrix().tolist() == [[10], [20], [30]]
+        assert st.matrix().tolist() == [[10, 6], [20, 5], [30, 4]]
+        assert st.columns == (ColumnMeta("C1", Domain(10, 30)), ColumnMeta("C2", Domain(4, 6)))
 
     def test_read_only(self):
         st = create_sample(4, [make_table("T", [(1, 2), (3, 4)])], seed=1).table("T")
