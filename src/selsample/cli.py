@@ -16,7 +16,6 @@ from .execution import estimate_all_nodes
 from .harness import (
     METHODS,
     WORKLOAD_KINDS,
-    QueryNodeRecord,
     WorkloadSpec,
     generate_workload,
     per_query_csv,
@@ -172,23 +171,10 @@ def cmd_estimate(args) -> int:
         catalog = {st.name: st for st in sdb.tables}
     plan = parse_query(args.query, catalog)
     records = estimate_all_nodes(sdb, plan, db=exact_tables)
-    rows = [
-        QueryNodeRecord(
-            query_id=0,
-            node_id=r.node,
-            node_kind=r.kind,
-            exact=r.exact,
-            est_indexed=r.est_indexed,
-            est_practitioner=r.est_practitioner,
-            s=r.s,
-            seed=sdb.seed,
-        )
-        for r in records
-    ]
-    text = per_query_csv(rows)
+    text = per_query_csv([(0, r) for r in records])
     if args.out:
         Path(args.out).write_text(text, newline="\n")
-        print(f"wrote {args.out}: {len(rows)} node estimate(s)")
+        print(f"wrote {args.out}: {len(records)} node estimate(s)")
     else:
         sys.stdout.write(text)
     return 0

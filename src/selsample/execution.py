@@ -81,13 +81,18 @@ class ResultSet:
 
 @dataclass
 class EstimateRecord:
-    """Per-subplan selectivity estimates; `node` is the post-order index."""
+    """Per-subplan selectivity estimates; `node` is the post-order index.
+
+    `s` and `seed` are the size and seed of the sample the estimates were
+    measured on, so a record can be reproduced on its own.
+    """
 
     node: int
     kind: str
     est_indexed: float
     est_practitioner: float
     s: int
+    seed: int
     exact: float | None = None
     cardinality_exact: int | None = None
 
@@ -337,6 +342,7 @@ def estimate_all_nodes(
             est_indexed=sample.aligned_count(node) / s,
             est_practitioner=sample.count(node) / s ** len(leaf_tables(node)),
             s=s,
+            seed=sampledb.seed,
         )
         if exact is not None:
             rec.cardinality_exact = exact.count(node)

@@ -1,11 +1,14 @@
 """Random workloads, percent-error metrics, and seeded experiment runs.
 
 An experiment evaluates every workload query exactly once against the base
-tables, then, per sample size, against one sample database with each
-requested method, aggregating percent errors per (method, size). Queries
-whose exact selectivity is zero but whose prediction is not are excluded from
-the percent aggregates (the metric is undefined there) and reported in the
-summary's excluded count; their estimates stay in the per-query records.
+tables, then, per sample size, against one sample database, and aggregates
+the root estimates' percent errors per (method, size). Every per-node record
+in per_query.csv is the `EstimateRecord` that `estimate_all_nodes` returned
+on that sample, with its exact value filled in, so `estimate` and
+`experiment` write the same row. Queries whose exact selectivity is zero but
+whose prediction is not are excluded from the percent aggregates (the metric
+is undefined there) and reported in the summary's excluded count; their
+estimates stay in the per-query records.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .execution import estimate_all_nodes, exact_selectivity
+from .execution import EstimateRecord, estimate_all_nodes, exact_selectivity
 from .queries import (
     And,
     BoolExpr,
@@ -37,7 +40,6 @@ from .tables import Table
 __all__ = [
     "WorkloadSpec",
     "ErrorSummary",
-    "QueryNodeRecord",
     "ExperimentResult",
     "METHODS",
     "generate_workload",
@@ -53,14 +55,7 @@ __all__ = [
 METHODS = ("indexed", "practitioner", "histogram")
 WORKLOAD_KINDS = ("select-only", "join-pair")
 
-_OPS = (
-    ComparisonOp.LT,
-    ComparisonOp.GT,
-    ComparisonOp.LE,
-    ComparisonOp.GE,
-    ComparisonOp.EQ,
-    ComparisonOp.NE,
-)
+_OPS = tuple(ComparisonOp)
 
 SUMMARY_HEADER = "method,sample_size,mean_pct_error,stddev_pct_error,frac_within_eps,excluded"
 PER_QUERY_HEADER = "query_id,node_id,node_kind,exact,est_indexed,est_practitioner,s,seed"
@@ -97,22 +92,10 @@ class ErrorSummary:
     excluded_zero_exact: int
 
 
-@dataclass(frozen=True)
-class QueryNodeRecord:
-    query_id: int
-    node_id: int
-    node_kind: str
-    exact: float | None
-    est_indexed: float
-    est_practitioner: float
-    s: int
-    seed: int
-
-
 @dataclass
 class ExperimentResult:
     summaries: list[ErrorSummary]
-    per_query: list[QueryNodeRecord]
+    per_query: list[tuple[int, EstimateRecord]]  # (query_id, record)
 
 
 def _random_predicate(rng: np.random.Generator, table: Table, m: int, b: int) -> BoolExpr:
@@ -232,8 +215,9 @@ def run_experiment(
     """Evaluate a workload with the requested methods over a sample-size sweep.
 
     One sample database is built per size (seeds derived deterministically
-    from the master seed); exact selectivities are computed once per query.
-    The 'histogram' method ignores sample sizes and yields a single summary.
+    from the master seed), so a size given twice is an error; exact
+    selectivities are computed once per plan node. The 'histogram' method
+    ignores sample sizes and yields a single summary.
     """
     tables = list(tables)
     workload = list(workload)
@@ -249,58 +233,43 @@ def run_experiment(
     sample_sizes = [int(s) for s in sample_sizes]
     if sampling_methods and not sample_sizes:
         raise ValueError("sampling methods need at least one sample size")
+    for k, size in enumerate(sample_sizes):
+        if size in sample_sizes[:k]:
+            raise ValueError(f"sample size {size} is given more than once")
 
     # Exact selectivity per (query, node), one count each.
     exact_nodes = [[exact_selectivity(tables, node) for node in subplans(plan)] for plan in workload]
+    root_exact = [exact[-1] for exact in exact_nodes]
 
-    seed_state = np.random.SeedSequence(seed).generate_state(max(1, len(sample_sizes)))
-    sample_seeds = [int(v) for v in seed_state]
-
-    per_query: list[QueryNodeRecord] = []
-    root_estimates: dict[tuple[str, int], list[tuple[float, float]]] = {}
-    for si, size in enumerate(sample_sizes):
-        if not sampling_methods:
-            break
-        sdb = create_sample(size, tables, sample_seeds[si])
-        for qid, plan in enumerate(workload):
+    seeds = np.random.SeedSequence(seed).generate_state(max(1, len(sample_sizes)))
+    per_query: list[tuple[int, EstimateRecord]] = []
+    # roots[k][q]: query q's root record on the k-th sample size's sample.
+    roots: list[list[EstimateRecord]] = []
+    for size, sample_seed in zip(sample_sizes if sampling_methods else [], seeds):
+        sdb = create_sample(size, tables, int(sample_seed))
+        roots.append([])
+        for qid, (plan, exact) in enumerate(zip(workload, exact_nodes)):
             records = estimate_all_nodes(sdb, plan)
-            for rec, node_exact in zip(records, exact_nodes[qid]):
-                per_query.append(
-                    QueryNodeRecord(
-                        query_id=qid,
-                        node_id=rec.node,
-                        node_kind=rec.kind,
-                        exact=node_exact,
-                        est_indexed=rec.est_indexed,
-                        est_practitioner=rec.est_practitioner,
-                        s=size,
-                        seed=sample_seeds[si],
-                    )
-                )
-            root = records[-1]
-            root_exact = exact_nodes[qid][-1]
-            root_estimates.setdefault(("indexed", size), []).append((root.est_indexed, root_exact))
-            root_estimates.setdefault(("practitioner", size), []).append(
-                (root.est_practitioner, root_exact)
-            )
+            for rec, node_exact in zip(records, exact):
+                rec.exact = node_exact
+                per_query.append((qid, rec))
+            roots[-1].append(records[-1])
 
-    histogram_pairs: list[tuple[float, float]] = []
+    catalog = StatsCatalog(stats_buckets, stats_mcv)
     if "histogram" in methods:
-        catalog = StatsCatalog(stats_buckets, stats_mcv)
         for t in tables:
             catalog.update(build_stats(t, stats_buckets, stats_mcv))
-        for qid, plan in enumerate(workload):
-            histogram_pairs.append((estimate_join(catalog, plan), exact_nodes[qid][-1]))
 
     summaries: list[ErrorSummary] = []
     for method in methods:
         if method == "histogram":
-            summaries.append(_summarize("histogram", None, histogram_pairs, epsilon))
+            pairs = [(estimate_join(catalog, plan), x) for plan, x in zip(workload, root_exact)]
+            summaries.append(_summarize("histogram", None, pairs, epsilon))
         else:
-            for size in sample_sizes:
-                summaries.append(
-                    _summarize(method, size, root_estimates[(method, size)], epsilon)
-                )
+            indexed = method == "indexed"
+            for size, sample_roots in zip(sample_sizes, roots):
+                pairs = [(r.est_indexed if indexed else r.est_practitioner, r.exact) for r in sample_roots]
+                summaries.append(_summarize(method, size, pairs, epsilon))
     return ExperimentResult(summaries=summaries, per_query=per_query)
 
 
@@ -328,15 +297,16 @@ def summary_csv(summaries: Sequence[ErrorSummary]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def per_query_csv(records: Sequence[QueryNodeRecord]) -> str:
+def per_query_csv(records: Sequence[tuple[int, EstimateRecord]]) -> str:
+    """One line per (query_id, record) pair, in the given order."""
     lines = [PER_QUERY_HEADER]
-    for r in records:
+    for query_id, r in records:
         lines.append(
             ",".join(
                 [
-                    str(r.query_id),
-                    str(r.node_id),
-                    r.node_kind,
+                    str(query_id),
+                    str(r.node),
+                    r.kind,
                     _fmt(r.exact),
                     _fmt(r.est_indexed),
                     _fmt(r.est_practitioner),

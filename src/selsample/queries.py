@@ -375,7 +375,6 @@ class _Combo:
     kind: str  # 'and' | 'or'
     left: object
     right: object
-    pos: int
 
 
 class _Parser:
@@ -429,15 +428,15 @@ class _Parser:
     def _expr(self):
         node = self._term()
         while self.peek().kind == "or":
-            pos = self.advance().pos
-            node = _Combo("or", node, self._term(), pos)
+            self.advance()
+            node = _Combo("or", node, self._term())
         return node
 
     def _term(self):
         node = self._factor()
         while self.peek().kind == "and":
-            pos = self.advance().pos
-            node = _Combo("and", node, self._factor(), pos)
+            self.advance()
+            node = _Combo("and", node, self._factor())
         return node
 
     def _factor(self):

@@ -169,8 +169,9 @@ def load_sample(manifest_path: str | Path) -> SampleDatabase:
     for entry in entries:
         path = mp.parent / entry["file"]
         _, m = read_int_csv(path, ["sampleindex", *entry["columns"]])
+        # Lengths first: the manifest's size may be far beyond what fits in memory.
         order = np.argsort(m[:, 0])
-        if not np.array_equal(m[order, 0], np.arange(1, size + 1)):
+        if m.shape[0] != size or not np.array_equal(m[order, 0], np.arange(1, size + 1)):
             raise ValueError(f"{path}: sampleindex values must be exactly 1..{size} with no repeats")
         rows = m[order, 1:]
         try:

@@ -259,7 +259,7 @@ def load_csv(path: str | Path, schema: Sequence[ColumnMeta], name: str | None = 
     p = Path(path)
     schema = tuple(schema)
     _, m = read_int_csv(p, [c.name for c in schema], [c.domain for c in schema])
-    return Table(name or p.stem, schema, m)
+    return _file_table(p, name, schema, m)
 
 
 def read_csv(path: str | Path, domain: Domain | None = None, name: str | None = None) -> Table:
@@ -276,7 +276,16 @@ def read_csv(path: str | Path, domain: Domain | None = None, name: str | None = 
         schema = spanning_schema(names, m)
     else:
         raise CsvFormatError(f"{p}: cannot infer domains of an empty table; supply a domain")
-    return Table(name or p.stem, schema, m)
+    return _file_table(p, name, schema, m)
+
+
+def _file_table(p: Path, name: str | None, schema: Sequence[ColumnMeta], m: np.ndarray) -> Table:
+    """The Table read from file p, named after the file unless `name` is given;
+    an invalid name or an out-of-domain value names the file."""
+    try:
+        return Table(name or p.stem, schema, m)
+    except ValueError as exc:
+        raise CsvFormatError(f"{p}: {exc}") from None
 
 
 def spanning_schema(names: Sequence[str], m: np.ndarray) -> list[ColumnMeta]:

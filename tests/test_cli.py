@@ -243,6 +243,20 @@ class TestEstimate:
         assert run(argv) == 2
         assert capsys.readouterr().err == f"error: {manifest}: 'size' must be at least 1\n"
 
+    def test_manifest_size_beyond_the_file_exits_2(self, tmp_path, uniform_csv, capsys):
+        sample_dir = tmp_path / "sample"
+        run(["build-sample", "--table", str(uniform_csv), "--size", "8", "--seed", "1",
+             "--out", str(sample_dir)])
+        manifest = sample_dir / "manifest.json"
+        manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "size": 10**15}))
+        capsys.readouterr()
+        code = run(["estimate", "--query", "SELECT * FROM t WHERE t.C1 < 5", "--sample", str(manifest)])
+        assert code == 2
+        path = sample_dir / "t.sample.csv"
+        assert capsys.readouterr().err == (
+            f"error: {path}: sampleindex values must be exactly 1..{10**15} with no repeats\n"
+        )
+
     @pytest.mark.parametrize("fault", ["repeated index", "invalid base"])
     def test_sample_file_error_names_the_file(self, tmp_path, uniform_csv, capsys, fault):
         sample_dir = tmp_path / "sample"
@@ -298,6 +312,14 @@ class TestExperiment:
         assert run(self._args(uniform_csv, d2)) == 0
         assert (d1 / "summary.csv").read_bytes() == (d2 / "summary.csv").read_bytes()
         assert (d1 / "per_query.csv").read_bytes() == (d2 / "per_query.csv").read_bytes()
+
+    def test_repeated_size_exits_2(self, tmp_path, uniform_csv, capsys):
+        argv = self._args(uniform_csv, tmp_path / "exp")
+        argv[argv.index("--sizes") + 1] = "300,300"
+        capsys.readouterr()
+        assert run(argv) == 2
+        assert capsys.readouterr().err == "error: sample size 300 is given more than once\n"
+        assert not (tmp_path / "exp").exists()
 
     def test_missing_table_exits_2(self, tmp_path):
         code = run(

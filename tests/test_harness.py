@@ -3,6 +3,7 @@
 import pytest
 
 from conftest import make_table
+from selsample.execution import estimate_all_nodes
 from selsample.harness import (
     ErrorSummary,
     WorkloadSpec,
@@ -13,6 +14,7 @@ from selsample.harness import (
     summary_csv,
 )
 from selsample.queries import JoinNode, SelectLeaf, class_params, ComparisonOp
+from selsample.sampling import create_sample
 from selsample.tables import Domain, generate_uniform_table
 
 T100 = generate_uniform_table("T", 100, 3, Domain(0, 50), seed=1)
@@ -128,8 +130,8 @@ class TestRunExperiment:
         result = run_experiment([A100, B100], workload, [8], 0.05, ["indexed"], seed=3)
         # 3 queries x 3 nodes (two leaves + join root)
         assert len(result.per_query) == 9
-        assert {r.node_kind for r in result.per_query} == {"select", "join"}
-        roots = [r for r in result.per_query if r.node_kind == "join"]
+        assert {r.kind for _, r in result.per_query} == {"select", "join"}
+        roots = [r for _, r in result.per_query if r.kind == "join"]
         assert all(r.exact is not None for r in roots)
 
     def test_exclusion_of_zero_exact_queries(self):
@@ -173,6 +175,27 @@ class TestRunExperiment:
             run_experiment([T100], workload, [], 0.05, ["indexed"], seed=1)
         with pytest.raises(ValueError, match="workload"):
             run_experiment([T100], [], [5], 0.05, ["indexed"], seed=1)
+
+    def test_repeated_sample_size_rejected(self):
+        workload = [SelectLeaf("T", None)]
+        with pytest.raises(ValueError, match="sample size 20 is given more than once"):
+            run_experiment([T100], workload, [10, 20, 30, 20], 0.05, ["indexed"], seed=1)
+
+    def test_every_row_reproduces_from_its_sample(self):
+        # Each per_query.csv row carries the (s, seed) of the sample it was
+        # measured on, so estimate_all_nodes on that sample gives it back.
+        tables = [A100, B100]
+        spec = WorkloadSpec(m=2, b=3, count=6, kind="join-pair", seed=4)
+        workload = generate_workload(spec, tables)
+        result = run_experiment(tables, workload, [15, 40], 0.05, ["indexed", "practitioner"], seed=9)
+        lines = per_query_csv(result.per_query).splitlines()[1:]
+        assert len(lines) == 6 * 3 * 2
+        for qid, plan in enumerate(workload):
+            rows = [line for line in lines if line.split(",")[0] == str(qid)]
+            for s, seed in sorted({tuple(int(v) for v in row.split(",")[-2:]) for row in rows}):
+                records = estimate_all_nodes(create_sample(s, tables, seed), plan, db=tables)
+                mine = [row for row in rows if row.endswith(f",{s},{seed}")]
+                assert per_query_csv([(qid, r) for r in records]).splitlines()[1:] == mine
 
     def test_histogram_only_needs_no_sizes(self):
         workload = generate_workload(WorkloadSpec(m=1, b=1, count=2, seed=4), [T100])

@@ -248,6 +248,15 @@ class TestManifestErrors:
         message = self._load(tmp_path, json.dumps(_manifest_with("columns", value)))
         assert message.endswith("table entry 0: 'columns' is not a list of strings")
 
+    def test_size_beyond_the_file_fails_before_allocating(self, tmp_path):
+        # A size of 10**15 would need petabytes if 1..size were built first.
+        manifest = _write_sample(tmp_path, "1,1,2\n2,3,4\n3,5,6\n", size=10**15)
+        with pytest.raises(ValueError) as exc:
+            load_sample(manifest)
+        assert str(exc.value) == (
+            f"{tmp_path / 't.sample.csv'}: sampleindex values must be exactly 1..{10**15} with no repeats"
+        )
+
     def test_int_convertible_size_and_seed_load_as_before(self, tmp_path):
         manifest = _write_sample(tmp_path, "1,1,2\n2,3,4\n3,5,6\n")
         manifest.write_text(json.dumps({**_good_manifest(), "size": "3", "seed": 7.0}))

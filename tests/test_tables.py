@@ -119,6 +119,21 @@ class TestCsv:
             read_csv(p)
         assert read_csv(p, domain=Domain(0, 1)).row_count == 0
 
+    def test_read_csv_value_outside_given_domain_names_the_file(self, tmp_path):
+        p = tmp_path / "a.csv"
+        p.write_text("C1,C2\n1,2\n3,40\n")
+        with pytest.raises(CsvFormatError) as exc:
+            read_csv(p, domain=Domain(0, 10))
+        assert str(exc.value) == f"{p}: row 2, column C2: value 40 outside domain [0, 10]"
+
+    @pytest.mark.parametrize("reader", ["read_csv", "load_csv"])
+    def test_invalid_table_name_names_the_file(self, tmp_path, reader):
+        p = tmp_path / "my-table.csv"
+        p.write_text("C1,C2\n1,2\n")
+        with pytest.raises(CsvFormatError) as exc:
+            read_csv(p) if reader == "read_csv" else load_csv(p, SCHEMA_0_10)
+        assert str(exc.value) == f"{p}: invalid table name: 'my-table'"
+
     @pytest.mark.parametrize("cell", ["36893488147419103232", "9223372036854775808", "-9223372036854775809"])
     def test_cell_beyond_int64_names_row_and_column(self, tmp_path, cell):
         p = tmp_path / "t.csv"
