@@ -14,9 +14,12 @@ No estimator builds a join result; each counts.
   and binary searches find each parent row's matching weight, which
   multiplies into the parent's weights. The searches run over the parent
   values in sorted order, where each one starts from the previous one's
-  bound, and their results go back to row order. Counts are exact integers:
-  int64 while the product of the filtered leaf sizes fits, Python ints
-  beyond.
+  bound, and their results go back to row order. Only in a 2-table plan does
+  the root have a single child; there the count is the sum of that edge's
+  matches, so the parent values are sorted and searched but never put back.
+  Each leaf's join values are gathered from its contiguous column with
+  `np.compress`. Counts are exact integers: int64 while the product of the
+  filtered leaf sizes fits, Python ints beyond.
 
 `execute_plan` is the reference implementation the counts are tested
 against. It builds the full result with nested-loop semantics: every pair of
@@ -186,12 +189,12 @@ def _weight_below(sv: np.ndarray, cum: np.ndarray | None, pv: np.ndarray, side: 
     return idx if cum is None else cum[idx]
 
 
-def _matches(pv: np.ndarray, cv: np.ndarray, cw: np.ndarray | None, op: ComparisonOp):
-    """Per parent value x, the total weight of child rows y with x op y.
+def _sorted_matches(keys: np.ndarray, cv: np.ndarray, cw: np.ndarray | None, op: ComparisonOp):
+    """Per parent value x of the sorted `keys`, the total weight of child rows y with x op y.
 
     `cw` None means every child row weighs 1, which needs no cumulative sum.
-    The parent values are searched in sorted order, several times faster than
-    in row order, and the results are put back in row order.
+    Sorted keys make the binary searches several times faster than keys in
+    row order.
     """
     if cw is None:
         sv, cum, total = np.sort(cv), None, cv.size
@@ -200,23 +203,32 @@ def _matches(pv: np.ndarray, cv: np.ndarray, cw: np.ndarray | None, op: Comparis
         sv = cv[order]
         cum = np.concatenate((np.zeros(1, dtype=cw.dtype), np.cumsum(cw[order])))
         total = cum[-1]
-    by_value = np.argsort(pv)
-    keys = pv[by_value]
     if op is ComparisonOp.LT:
-        counts = total - _weight_below(sv, cum, keys, "right")
-    elif op is ComparisonOp.LE:
-        counts = total - _weight_below(sv, cum, keys, "left")
-    elif op is ComparisonOp.GT:
-        counts = _weight_below(sv, cum, keys, "left")
-    elif op is ComparisonOp.GE:
-        counts = _weight_below(sv, cum, keys, "right")
-    else:
-        counts = _weight_below(sv, cum, keys, "right") - _weight_below(sv, cum, keys, "left")
-        if op is ComparisonOp.NE:
-            counts = total - counts
+        return total - _weight_below(sv, cum, keys, "right")
+    if op is ComparisonOp.LE:
+        return total - _weight_below(sv, cum, keys, "left")
+    if op is ComparisonOp.GT:
+        return _weight_below(sv, cum, keys, "left")
+    if op is ComparisonOp.GE:
+        return _weight_below(sv, cum, keys, "right")
+    counts = _weight_below(sv, cum, keys, "right") - _weight_below(sv, cum, keys, "left")
+    return total - counts if op is ComparisonOp.NE else counts
+
+
+def _matches(pv: np.ndarray, cv: np.ndarray, cw: np.ndarray | None, op: ComparisonOp):
+    """Per parent value x, in row order, the total weight of child rows y with x op y."""
+    by_value = np.argsort(pv)
+    counts = _sorted_matches(pv[by_value], cv, cw, op)
     out = np.empty_like(counts)
     out[by_value] = counts
     return out
+
+
+def _match_total(pv: np.ndarray, cv: np.ndarray, cw: np.ndarray | None, op: ComparisonOp, dtype):
+    """The total weight of all pairs of a parent value x and a child row y
+    with x op y, summed in `dtype`. Row order does not matter, so the parent
+    values are only sorted, never put back."""
+    return int(_sorted_matches(np.sort(pv), cv, cw, op).sum(dtype=dtype))
 
 
 class _Counter:
@@ -282,12 +294,16 @@ class _Counter:
         for k in reversed(order[1:]):
             p, p_col, k_col, op = parent[k]
             pv, kv = self._values(leaves[p], p_col), self._values(leaves[k], k_col)
+            if len(leaves) == 2:
+                # Any larger tree's root has two or more children; here the
+                # root's one child gives the count as the sum of its matches.
+                return _match_total(pv, kv, weights[k], op, dtype)
             counts = _matches(pv, kv, weights[k], op)
             weights[p] = counts.astype(dtype, copy=False) if weights[p] is None else weights[p] * counts
         return int(weights[root].sum())
 
     def _values(self, leaf: SelectLeaf, column: str) -> np.ndarray:
-        return self.frames[leaf.table].column_values(column)[self.mask(leaf)]
+        return np.compress(self.mask(leaf), self.frames[leaf.table].column_values(column))
 
 
 def _denominator(plan: QueryPlan, frames) -> int:

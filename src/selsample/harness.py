@@ -215,7 +215,7 @@ def run_experiment(
     """Evaluate a workload with the requested methods over a sample-size sweep.
 
     One sample database is built per size (seeds derived deterministically
-    from the master seed), so a size given twice is an error; exact
+    from the master seed), so a size or a method given twice is an error; exact
     selectivities are computed once per plan node. The 'histogram' method
     ignores sample sizes and yields a single summary.
     """
@@ -226,9 +226,11 @@ def run_experiment(
         raise ValueError("empty workload")
     if not methods:
         raise ValueError("no methods requested")
-    for m in methods:
+    for k, m in enumerate(methods):
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}; expected one of {METHODS}")
+        if m in methods[:k]:
+            raise ValueError(f"method {m!r} is given more than once")
     sampling_methods = [m for m in methods if m != "histogram"]
     sample_sizes = [int(s) for s in sample_sizes]
     if sampling_methods and not sample_sizes:

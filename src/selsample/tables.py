@@ -77,9 +77,9 @@ class ColumnMeta:
 class Table:
     """An immutable table of integer rows over named, domain-checked columns.
 
-    The rows live in one read-only, C-contiguous int64 matrix. `rows` may be
-    such a matrix (it is copied, so the caller's array stays its own) or any
-    iterable of rows.
+    The rows live in one read-only, column-major int64 matrix, so each column
+    is contiguous. `rows` may be any (n, k) array (it is copied, so the
+    caller's array stays its own) or any iterable of rows.
     """
 
     def __init__(
@@ -133,7 +133,7 @@ class Table:
         return self.columns[self.column_index(name)]
 
     def matrix(self) -> np.ndarray:
-        """The read-only row-major int64 matrix of the data."""
+        """The read-only column-major int64 matrix of the data."""
         return self._matrix
 
     def column_values(self, name: str) -> np.ndarray:
@@ -154,9 +154,10 @@ class Table:
 
 
 def int_matrix(rows: np.ndarray | Iterable[Sequence[int]], k: int) -> np.ndarray:
-    """A new read-only (n, k) int64 matrix holding `rows`: an array or an iterable of rows."""
+    """A new read-only, column-major (n, k) int64 matrix holding `rows`: an
+    array or an iterable of rows."""
     if isinstance(rows, np.ndarray):
-        m = np.array(rows, dtype=np.int64, order="C")
+        m = np.array(rows, dtype=np.int64, order="F")
         if m.ndim != 2 or m.shape[1] != k:
             raise ValueError(f"rows of shape {m.shape}, expected (n, {k})")
     else:
@@ -164,7 +165,7 @@ def int_matrix(rows: np.ndarray | Iterable[Sequence[int]], k: int) -> np.ndarray
         for rno, row in enumerate(rows, start=1):
             if len(row) != k:
                 raise ValueError(f"row {rno} has {len(row)} values, expected {k}")
-        m = np.array(rows, dtype=np.int64).reshape(len(rows), k)
+        m = np.array(rows, dtype=np.int64, order="F").reshape(len(rows), k)
     m.flags.writeable = False
     return m
 
@@ -290,8 +291,9 @@ def _file_table(p: Path, name: str | None, schema: Sequence[ColumnMeta], m: np.n
 
 def spanning_schema(names: Sequence[str], m: np.ndarray) -> list[ColumnMeta]:
     """Columns whose domains are the [min, max] of each column of a non-empty matrix."""
-    # One column at a time: a 1-D reduction is far faster than an axis-0
-    # reduction over a narrow row-major matrix.
+    # One 1-D reduction per column: contiguous on a table's column-major
+    # matrix, and on a narrow row-major matrix still far faster than an
+    # axis-0 reduction.
     return [ColumnMeta(n, Domain(int(m[:, j].min()), int(m[:, j].max()))) for j, n in enumerate(names)]
 
 

@@ -321,6 +321,14 @@ class TestExperiment:
         assert capsys.readouterr().err == "error: sample size 300 is given more than once\n"
         assert not (tmp_path / "exp").exists()
 
+    def test_repeated_method_exits_2(self, tmp_path, uniform_csv, capsys):
+        argv = self._args(uniform_csv, tmp_path / "exp")
+        argv[argv.index("--methods") + 1] = "practitioner,indexed,histogram,indexed"
+        capsys.readouterr()
+        assert run(argv) == 2
+        assert capsys.readouterr().err == "error: method 'indexed' is given more than once\n"
+        assert not (tmp_path / "exp").exists()
+
     def test_missing_table_exits_2(self, tmp_path):
         code = run(
             ["experiment", "--table", str(tmp_path / "nope.csv"),

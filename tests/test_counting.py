@@ -14,8 +14,24 @@ from conftest import (
     random_plan,
     random_small_tables,
 )
-from selsample.execution import _matches, estimate_all_nodes, exact_cardinality, exact_selectivity
-from selsample.queries import JoinNode, leaf_tables, parse_query, subplans
+from selsample.execution import (
+    _match_total,
+    _matches,
+    estimate_all_nodes,
+    exact_cardinality,
+    exact_selectivity,
+)
+from selsample.queries import (
+    ColumnRef,
+    ComparisonOp,
+    JoinCondition,
+    JoinNode,
+    SelectionClause,
+    SelectLeaf,
+    leaf_tables,
+    parse_query,
+    subplans,
+)
 from selsample.sampling import create_sample
 from selsample.tables import ColumnMeta, Domain, Table
 
@@ -104,3 +120,25 @@ def test_matches_against_a_double_loop(op, weights):
         got = _matches(pv, cv, cw, op)
         assert got.shape == (n_parent,)
         assert [int(v) for v in got] == want
+        # The 2-table root total: the same matches, summed in any row order.
+        total = _match_total(pv, cv, cw, op, object if weights == "beyond int64" else np.int64)
+        assert type(total) is int and total == sum(want)
+
+
+@pytest.mark.parametrize("op", ALL_OPS, ids=lambda op: op.value)
+def test_two_table_count_with_full_and_empty_leaves(op):
+    # TRUE leaves keep every row (full masks); C1 < 0 keeps none.
+    rng = np.random.default_rng(47)
+    none_kept = SelectionClause("C1", ComparisonOp.LT, 0)
+    for n_a, n_b in [(1, 1), (6, 9), (30, 20)]:
+        tables = [
+            make_table("A", rng.integers(0, 6, size=(n_a, 2)).tolist()),
+            make_table("B", rng.integers(0, 6, size=(n_b, 2)).tolist()),
+        ]
+        cond = JoinCondition(ColumnRef("A", "C2"), ColumnRef("B", "C1"), op)
+        for pa, pb in [(None, None), (none_kept, None), (None, none_kept), (none_kept, none_kept)]:
+            plan = JoinNode(SelectLeaf("A", pa), SelectLeaf("B", pb), cond)
+            count = exact_cardinality(tables, plan)
+            assert count == len(brute_force_result(tables, plan))
+            if pa is not None or pb is not None:
+                assert count == 0

@@ -181,6 +181,13 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="sample size 20 is given more than once"):
             run_experiment([T100], workload, [10, 20, 30, 20], 0.05, ["indexed"], seed=1)
 
+    def test_repeated_method_rejected(self):
+        workload = [SelectLeaf("T", None)]
+        with pytest.raises(ValueError, match="method 'indexed' is given more than once"):
+            run_experiment(
+                [T100], workload, [10], 0.05, ["practitioner", "indexed", "histogram", "indexed"], seed=1
+            )
+
     def test_every_row_reproduces_from_its_sample(self):
         # Each per_query.csv row carries the (s, seed) of the sample it was
         # measured on, so estimate_all_nodes on that sample gives it back.

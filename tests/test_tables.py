@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from selsample.sampling import create_sample, load_sample, save_sample
 from selsample.tables import (
     ColumnMeta,
     CsvFormatError,
@@ -351,7 +352,41 @@ class TestImmutable:
         assert data.flags.writeable
         data[0, 0] = 9
         assert t.rows == [(1, 2), (3, 4)]
-        assert t.matrix().flags.c_contiguous and t.matrix().dtype == np.int64
+        assert t.matrix().flags.f_contiguous and t.matrix().dtype == np.int64
+        assert all(t.column_values(c).flags.c_contiguous for c in t.column_names)
+
+    def test_every_way_of_making_a_table_is_column_major(self, tmp_path):
+        rows = [(1, 2), (3, 4), (5, 6)]
+        (tmp_path / "T.csv").write_text("C1,C2\n1,2\n3,4\n5,6\n")
+        dom = Domain(0, 100)
+        uniform = generate_uniform_table("U", 50, 3, dom, seed=2)
+        uniform_rows = np.random.default_rng(2).integers(0, 101, size=(50, 3)).tolist()
+        cov = [[9.0, 4.0], [4.0, 9.0]]
+        correlated = generate_correlated_table("R", 40, 50.0, cov, dom, seed=3)
+        draws = np.random.default_rng(3).multivariate_normal([50.0, 50.0], cov, size=40, method="cholesky")
+        correlated_rows = np.clip(np.rint(draws), 0, 100).astype(np.int64).tolist()
+        sdb = create_sample(7, [uniform, correlated], seed=5)
+        rng = np.random.default_rng(5)
+        sample_rows = [
+            [base.rows[i] for i in rng.integers(0, base.row_count, size=7)] for base in (uniform, correlated)
+        ]
+        loaded = load_sample(save_sample(sdb, tmp_path / "s"))
+        made = [
+            (Table("T", SCHEMA_0_10, rows), rows),
+            (Table("T", SCHEMA_0_10, np.array(rows, order="C")), rows),
+            (Table("T", SCHEMA_0_10, np.array(rows, order="F")), rows),
+            (read_csv(tmp_path / "T.csv"), rows),
+            (load_csv(tmp_path / "T.csv", SCHEMA_0_10), rows),
+            (uniform, uniform_rows),
+            (correlated, correlated_rows),
+            *zip(sdb.tables, sample_rows),
+            *zip(loaded.tables, sample_rows),
+        ]
+        for t, want in made:
+            m = t.matrix()
+            assert m.dtype == np.int64 and m.flags.f_contiguous and not m.flags.writeable
+            assert all(t.column_values(c).flags.c_contiguous for c in t.column_names)
+            assert t.rows == [tuple(r) for r in want]
 
     def test_array_of_wrong_width_rejected(self):
         with pytest.raises(ValueError, match="expected"):
