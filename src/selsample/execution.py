@@ -10,13 +10,26 @@ No estimator builds a join result; each counts.
   practitioner estimate (all sample combinations that satisfy the plan,
   divided by s^u) and the exact cardinality on the base tables are weighted
   counts up that tree (Yannakakis, "Algorithms for Acyclic Database
-  Schemes", VLDB 1981). Per edge, the child's join values are sorted once,
-  and binary searches find each parent row's matching weight, which
-  multiplies into the parent's weights. The searches run over the parent
-  values in sorted order, where each one starts from the previous one's
-  bound, and their results go back to row order. Only in a 2-table plan does
-  the root have a single child; there the count is the sum of that edge's
-  matches, so the parent values are sorted and searched but never put back.
+  Schemes", VLDB 1981). Per edge, a lookup over the child's join values
+  gives each parent row's matching weight, which multiplies into the
+  parent's weights. Only in a 2-table plan does the root have a single
+  child; there the count is the sum of that edge's matches, and row order
+  does not matter. The lookup takes one of two forms, chosen by the child
+  column's `Domain` [lo, hi], which holds every value of the column:
+  - Dense, when hi - lo + 1 <= 4 * (parent rows + child rows): one slot per
+    value in [lo, hi] holds the child weight of that value (distribution
+    counting, Knuth, TAOCP vol. 3, 5.2). `=` and `<>` read it directly; for
+    the inequalities it becomes a running total in place. Parent values are
+    clipped to the span and read in row order: O(rows + span), no sort.
+  - Sorted, otherwise: the child's values are sorted once and binary
+    searches run over the parent values in sorted order, each starting from
+    the previous one's bound; their results go back to row order, except
+    for the 2-table total. O(rows log rows), and no span-sized memory.
+  The constant 4 is the measured crossover of the inequalities, which pay
+  for the running total over the span (2-core VM, numpy 2.4): at 5e4 rows
+  per side, the `<` total takes 2.1 ms dense against 2.8 ms sorted at 4
+  slots per row, and 3.5 against 2.7 ms at 8; at 1e3 rows per side the row
+  order lookup breaks even near 4. `=` stays faster dense through 16 slots.
   Each leaf's join values are gathered from its contiguous column with
   `np.compress`. Counts are exact integers: int64 while the product of the
   filtered leaf sizes fits, Python ints beyond.
@@ -49,7 +62,7 @@ from .queries import (
     subplans,
 )
 from .sampling import SampleDatabase
-from .tables import Table
+from .tables import Domain, Table
 
 __all__ = [
     "ResultSet",
@@ -63,6 +76,11 @@ __all__ = [
 ]
 
 Database = Union[Sequence[Table], SampleDatabase]
+
+# The dense form of a join edge's lookup serves child columns whose domain
+# has at most this many values per row of the edge's two sides.
+_DENSE_SLOTS_PER_ROW = 4
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 _NP_OPS = {
     ComparisonOp.LT: np.less,
@@ -215,8 +233,53 @@ def _sorted_matches(keys: np.ndarray, cv: np.ndarray, cw: np.ndarray | None, op:
     return total - counts if op is ComparisonOp.NE else counts
 
 
-def _matches(pv: np.ndarray, cv: np.ndarray, cw: np.ndarray | None, op: ComparisonOp):
-    """Per parent value x, in row order, the total weight of child rows y with x op y."""
+def _dense_matches(
+    pv: np.ndarray, cv: np.ndarray, cw: np.ndarray | None, op: ComparisonOp, domain: Domain
+):
+    """Per parent value x, in row order, the total weight of child rows y with
+    x op y, read from a table of one slot per value [lo, hi] of the child's
+    `domain`.
+
+    The table has two more slots, `span` and `span + 1`, both 0. For the
+    inequalities the table becomes a running total in place, so slot i holds
+    the child weight <= lo + i and slot `span` the total. Slot `span + 1`
+    stays 0; a parent value below the span reads it as slot -1.
+    """
+    lo, hi = domain.lo, domain.hi
+    span = domain.width
+    if cw is None:
+        table = np.bincount(cv - lo, minlength=span + 2)
+    else:
+        table = np.zeros(span + 2, dtype=cw.dtype)
+        np.add.at(table, cv - lo, cw)
+    if op is not ComparisonOp.EQ and op is not ComparisonOp.NE:
+        np.cumsum(table[: span + 1], out=table[: span + 1])
+    # Child weight < x for these two, <= x (or = x) for the others.
+    strict = op is ComparisonOp.GT or op is ComparisonOp.LE
+    # The clip bounds stay inside int64; where lo - 1 or hi + 1 does not,
+    # no parent value lies beyond the span on that side.
+    slot = np.clip(pv, lo if strict else max(lo - 1, _INT64_MIN), min(hi + 1, _INT64_MAX))
+    slot -= lo
+    if strict:
+        slot -= 1
+    counts = table[slot]
+    if op in (ComparisonOp.EQ, ComparisonOp.GE, ComparisonOp.GT):
+        return counts
+    return (cv.size if cw is None else cw.sum()) - counts
+
+
+def _dense(domain: Domain, pv: np.ndarray, cv: np.ndarray) -> bool:
+    """Whether the child's value span is narrow enough for the dense form."""
+    return domain.width <= _DENSE_SLOTS_PER_ROW * (pv.size + cv.size)
+
+
+def _matches(
+    pv: np.ndarray, cv: np.ndarray, cw: np.ndarray | None, op: ComparisonOp, domain: Domain
+):
+    """Per parent value x, in row order, the total weight of child rows y with
+    x op y. Every child value lies in `domain`."""
+    if _dense(domain, pv, cv):
+        return _dense_matches(pv, cv, cw, op, domain)
     by_value = np.argsort(pv)
     counts = _sorted_matches(pv[by_value], cv, cw, op)
     out = np.empty_like(counts)
@@ -224,11 +287,17 @@ def _matches(pv: np.ndarray, cv: np.ndarray, cw: np.ndarray | None, op: Comparis
     return out
 
 
-def _match_total(pv: np.ndarray, cv: np.ndarray, cw: np.ndarray | None, op: ComparisonOp, dtype):
+def _match_total(
+    pv: np.ndarray, cv: np.ndarray, cw: np.ndarray | None, op: ComparisonOp, domain: Domain, dtype
+):
     """The total weight of all pairs of a parent value x and a child row y
-    with x op y, summed in `dtype`. Row order does not matter, so the parent
-    values are only sorted, never put back."""
-    return int(_sorted_matches(np.sort(pv), cv, cw, op).sum(dtype=dtype))
+    with x op y, summed in `dtype`. Row order does not matter, so the sorted
+    form only sorts the parent values, never puts them back."""
+    if _dense(domain, pv, cv):
+        counts = _dense_matches(pv, cv, cw, op, domain)
+    else:
+        counts = _sorted_matches(np.sort(pv), cv, cw, op)
+    return int(counts.sum(dtype=dtype))
 
 
 class _Counter:
@@ -294,11 +363,12 @@ class _Counter:
         for k in reversed(order[1:]):
             p, p_col, k_col, op = parent[k]
             pv, kv = self._values(leaves[p], p_col), self._values(leaves[k], k_col)
+            domain = self.frames[leaves[k].table].column(k_col).domain
             if len(leaves) == 2:
                 # Any larger tree's root has two or more children; here the
                 # root's one child gives the count as the sum of its matches.
-                return _match_total(pv, kv, weights[k], op, dtype)
-            counts = _matches(pv, kv, weights[k], op)
+                return _match_total(pv, kv, weights[k], op, domain, dtype)
+            counts = _matches(pv, kv, weights[k], op, domain)
             weights[p] = counts.astype(dtype, copy=False) if weights[p] is None else weights[p] * counts
         return int(weights[root].sum())
 
