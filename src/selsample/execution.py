@@ -16,20 +16,25 @@ No estimator builds a join result; each counts.
   child; there the count is the sum of that edge's matches, and row order
   does not matter. The lookup takes one of two forms, chosen by the child
   column's `Domain` [lo, hi], which holds every value of the column:
-  - Dense, when hi - lo + 1 <= 4 * (parent rows + child rows): one slot per
-    value in [lo, hi] holds the child weight of that value (distribution
-    counting, Knuth, TAOCP vol. 3, 5.2). `=` and `<>` read it directly; for
-    the inequalities it becomes a running total in place. Parent values are
+  - Dense, when hi - lo + 1 <= c * (parent rows + child rows), with c = 16
+    for `=` and `<>` and c = 4 for the inequalities: one slot per value in
+    [lo, hi] holds the child weight of that value (distribution counting,
+    Knuth, TAOCP vol. 3, 5.2). `=` and `<>` read it directly; for the
+    inequalities it becomes a running total in place. Parent values are
     clipped to the span and read in row order: O(rows + span), no sort.
   - Sorted, otherwise: the child's values are sorted once and binary
     searches run over the parent values in sorted order, each starting from
     the previous one's bound; their results go back to row order, except
     for the 2-table total. O(rows log rows), and no span-sized memory.
-  The constant 4 is the measured crossover of the inequalities, which pay
-  for the running total over the span (2-core VM, numpy 2.4): at 5e4 rows
-  per side, the `<` total takes 2.1 ms dense against 2.8 ms sorted at 4
-  slots per row, and 3.5 against 2.7 ms at 8; at 1e3 rows per side the row
-  order lookup breaks even near 4. `=` stays faster dense through 16 slots.
+  Each c is measured (2-core VM, numpy 2.4). The inequalities pay for the
+  running total over the span: at 5e4 rows per side, the `<` total takes
+  2.1 ms dense against 2.8 ms sorted at 4 slots per row, and 3.5 against
+  2.7 ms at 8; at 1e3 rows per side the row order lookup breaks even near
+  4. `=` and `<>` pay only for filling and reading the slots: at 5e4 rows
+  per side, the `=` lookup takes 0.7 ms dense against 4.1 ms sorted at 8
+  slots per row and 1.0 against 4.2 ms at 16, and is still faster dense at
+  32. Their c stops at 16 because the slots take memory: up to 128 bytes
+  per row of the edge's two sides.
   Each leaf's join values are gathered from its contiguous column with
   `np.compress`. Counts are exact integers: int64 while the product of the
   filtered leaf sizes fits, Python ints beyond.
@@ -78,8 +83,11 @@ __all__ = [
 Database = Union[Sequence[Table], SampleDatabase]
 
 # The dense form of a join edge's lookup serves child columns whose domain
-# has at most this many values per row of the edge's two sides.
+# has at most this many values per row of the edge's two sides: more for
+# `=` and `<>`, which read the slots directly, than for the inequalities,
+# which also take a running total over them.
 _DENSE_SLOTS_PER_ROW = 4
+_DENSE_SLOTS_PER_ROW_EQ = 16
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 _NP_OPS = {
@@ -268,9 +276,11 @@ def _dense_matches(
     return (cv.size if cw is None else cw.sum()) - counts
 
 
-def _dense(domain: Domain, pv: np.ndarray, cv: np.ndarray) -> bool:
+def _dense(domain: Domain, pv: np.ndarray, cv: np.ndarray, op: ComparisonOp) -> bool:
     """Whether the child's value span is narrow enough for the dense form."""
-    return domain.width <= _DENSE_SLOTS_PER_ROW * (pv.size + cv.size)
+    equality = op is ComparisonOp.EQ or op is ComparisonOp.NE
+    per_row = _DENSE_SLOTS_PER_ROW_EQ if equality else _DENSE_SLOTS_PER_ROW
+    return domain.width <= per_row * (pv.size + cv.size)
 
 
 def _matches(
@@ -278,7 +288,7 @@ def _matches(
 ):
     """Per parent value x, in row order, the total weight of child rows y with
     x op y. Every child value lies in `domain`."""
-    if _dense(domain, pv, cv):
+    if _dense(domain, pv, cv, op):
         return _dense_matches(pv, cv, cw, op, domain)
     by_value = np.argsort(pv)
     counts = _sorted_matches(pv[by_value], cv, cw, op)
@@ -293,7 +303,7 @@ def _match_total(
     """The total weight of all pairs of a parent value x and a child row y
     with x op y, summed in `dtype`. Row order does not matter, so the sorted
     form only sorts the parent values, never puts them back."""
-    if _dense(domain, pv, cv):
+    if _dense(domain, pv, cv, op):
         counts = _dense_matches(pv, cv, cw, op, domain)
     else:
         counts = _sorted_matches(np.sort(pv), cv, cw, op)

@@ -107,7 +107,7 @@ def save_sample(sampledb: SampleDatabase, out_dir: str | Path) -> Path:
     entries = []
     for st in sampledb.tables:
         fname = f"{st.name}.sample.csv"
-        tagged = np.column_stack((st.indexes, st.matrix()))
+        tagged = np.column_stack((np.arange(1, st.row_count + 1, dtype=np.int64), st.matrix()))
         write_int_csv(out / fname, ("sampleindex", *st.column_names), tagged)
         entries.append({"base": st.name, "file": fname, "columns": list(st.column_names)})
     manifest = {"size": sampledb.size, "seed": sampledb.seed, "tables": entries}
@@ -170,10 +170,15 @@ def load_sample(manifest_path: str | Path) -> SampleDatabase:
         path = mp.parent / entry["file"]
         _, m = read_int_csv(path, ["sampleindex", *entry["columns"]])
         # Lengths first: the manifest's size may be far beyond what fits in memory.
-        order = np.argsort(m[:, 0])
-        if m.shape[0] != size or not np.array_equal(m[order, 0], np.arange(1, size + 1)):
+        if m.shape[0] != size:
             raise ValueError(f"{path}: sampleindex values must be exactly 1..{size} with no repeats")
-        rows = m[order, 1:]
+        indexes = np.arange(1, size + 1)
+        # save_sample writes the rows in sampleindex order; other files are sorted.
+        if not np.array_equal(m[:, 0], indexes):
+            m = m[np.argsort(m[:, 0])]
+            if not np.array_equal(m[:, 0], indexes):
+                raise ValueError(f"{path}: sampleindex values must be exactly 1..{size} with no repeats")
+        rows = m[:, 1:]
         try:
             tables.append(SampleTable(entry["base"], spanning_schema(entry["columns"], rows), rows))
         except ValueError as exc:

@@ -7,7 +7,7 @@ fixing an arbitrary order on the categories.
 
 from __future__ import annotations
 
-import io
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -180,11 +180,91 @@ def read_int_csv(
     domain, or inside int64 when `domains` is None. The first offending cell in
     file order is reported with the file, its 1-based data row and its column.
     Returns the header's column names and the (rows, columns) matrix.
+
+    A file takes one of two routes, with the same result and the same errors:
+    - Whole file: the bytes are checked once, then `np.loadtxt` parses the
+      file by its path. Given a path, numpy's C tokenizer reads the open file
+      in chunks; given a string buffer or any other source, it pulls one line
+      at a time through Python (20 against 12 ms for 1e5 rows of 2 cells,
+      2-core VM, numpy 2.4).
+    - Row by row, on the decoded text: every file the whole-file route turns
+      down (see `_read_whole`), which includes every file with an error, so
+      this route reports them all.
     """
     p = Path(path)
     if not p.is_file():
         raise FileNotFoundError(f"no such CSV file: {p}")
-    text = p.read_text()
+    read = _read_whole(p, columns, domains)
+    if read is not None:
+        return read
+    return _read_rows(p, p.read_text(), columns, domains)
+
+
+# numpy's file opener decompresses files with these suffixes.
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
+
+
+def _file_identity(p: Path) -> tuple[int, int, int, int]:
+    st = os.stat(p)
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def _read_whole(
+    p: Path, columns: Sequence[str] | None, domains: Sequence[Domain] | None
+) -> tuple[list[str], np.ndarray] | None:
+    """The header's names and the matrix of file p, parsed by `np.loadtxt` on
+    the path; None where the row-by-row route must read the file.
+
+    np.loadtxt rejects empty cells, misplaced minus signs, values beyond int64
+    and ragged rows, but it takes " 5" and "+5", skips blank lines and
+    decompresses by suffix. So it parses a file only when:
+    - the name has no suffix that numpy's opener decompresses;
+    - the header is ASCII (a bad one raises here, as on the other route);
+    - the data rows hold only digits, minus signs, commas and newlines, and
+      the first of them is not blank;
+    - no CR stands alone (CRLF reads as LF on both routes, a lone CR does not
+      on numpy's);
+    and it keeps the matrix only when the parse raised nothing, the matrix has
+    one row per line, so no line was blank, every cell lies in its domain,
+    and the file's identity (device, inode, size, modification time) is the
+    same before the byte read and after the parse, so the bytes checked are
+    the bytes parsed. (A rewrite that keeps the inode and the size within one
+    tick of the file system's clock would go unseen.)
+    """
+    if p.suffix in _COMPRESSED_SUFFIXES:
+        return None
+    before = _file_identity(p)
+    data = p.read_bytes()
+    first, _, body = data.partition(b"\n")
+    first = first.removesuffix(b"\r")
+    if (
+        # No rows, or a blank first row: np.loadtxt warns when no line has data.
+        body[:1] in (b"", b"\n", b"\r")
+        or not first.isascii()
+        or body.translate(None, b"0123456789-,\r\n")
+        or (b"\r" in data and data.count(b"\r") != data.count(b"\r\n"))
+    ):
+        return None
+    names, _ = _read_rows(p, first.decode(), columns, None)  # raises on a bad header
+    try:
+        m = np.loadtxt(p, dtype=np.int64, delimiter=",", skiprows=1, comments=None, ndmin=2)
+    except (ValueError, OSError):  # a cell beyond int64, ragged rows, a vanished file
+        return None
+    # bytes.count takes about 8 times as long.
+    lines = np.count_nonzero(np.frombuffer(body, np.uint8) == ord("\n")) + (not body.endswith(b"\n"))
+    if m.shape != (lines, len(names)) or _file_identity(p) != before:
+        return None
+    if domains is not None and _outside(m, domains).any():
+        return None
+    return names, m
+
+
+def _read_rows(
+    p: Path, text: str, columns: Sequence[str] | None, domains: Sequence[Domain] | None
+) -> tuple[list[str], np.ndarray]:
+    """read_int_csv on the decoded text of file p, one row at a time: raises
+    the first error in file order, or parses what the whole-file route leaves
+    out, such as digits outside ASCII."""
     if not text:
         raise CsvFormatError(f"{p}: empty file, missing header row")
     first, _, body = text.partition("\n")
@@ -198,25 +278,6 @@ def read_int_csv(
     k = len(names)
     if body and not body.endswith("\n"):
         body += "\n"
-    # Fast path. np.loadtxt rejects empty cells, misplaced minus signs, values
-    # beyond int64 and ragged rows, but it takes " 5" and "+5" and skips blank
-    # lines; so it only sees digits, minus signs, commas and non-blank lines.
-    if (
-        body
-        and body.isascii()
-        and not body.encode().translate(None, b"0123456789-,\n")
-        and not body.startswith("\n")
-        and "\n\n" not in body
-    ):
-        try:
-            m = np.loadtxt(io.StringIO(body), dtype=np.int64, delimiter=",", ndmin=2)
-        except ValueError:  # a cell beyond int64, or rows of unequal width
-            m = None
-        if m is not None and m.shape[1] == k:
-            if domains is None or not _outside(m, domains).any():
-                return names, m
-    # Row by row: raises the first error, or parses what the fast path left
-    # out, such as digits outside ASCII.
     rows = []
     for rno, line in enumerate(body.split("\n")[:-1], start=1):
         cells = line.split(",")

@@ -157,6 +157,11 @@ _PY_OPS = {"<": operator.lt, ">": operator.gt, "<=": operator.le, ">=": operator
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
+# A span of 8 slots per row of the 60 + 40 rows that _match_cases draws on it:
+# dense for `=` and `<>`, sorted for the inequalities.
+_EIGHT_SLOTS_PER_ROW = Domain(-400, 399)
+
+
 def _match_cases(rng):
     """(parent values, child values, child domain): narrow spans take the
     dense form, wide ones the sorted form."""
@@ -167,6 +172,14 @@ def _match_cases(rng):
             yield rng.integers(-3, 4, size=n_parent), rng.integers(-3, 4, size=n_child), domain
         # Parent values below, inside and above the child's span.
         yield rng.integers(-8, 9, size=60), rng.integers(-3, 4, size=30), domain
+    # Child values at both ends of the span, parent values beyond it on
+    # either side, and ties among values drawn from a pool.
+    lo, hi = _EIGHT_SLOTS_PER_ROW.lo, _EIGHT_SLOTS_PER_ROW.hi
+    pool = np.array([lo, lo + 1, -1, 0, 1, hi - 1, hi, *rng.integers(lo, hi + 1, size=9)])
+    cv = rng.choice(pool, size=40)
+    cv[:2] = lo, hi
+    pv = np.concatenate((rng.choice(pool, size=56), [lo - 1, hi + 1, lo - 500, hi + 500]))
+    yield rng.permutation(pv), rng.permutation(cv), _EIGHT_SLOTS_PER_ROW
     # Spans at either end of int64, and parent values at both ends.
     ends = [_INT64_MIN, _INT64_MIN + 1, -1, 0, 1, _INT64_MAX - 1, _INT64_MAX]
     spans = [(_INT64_MIN, _INT64_MIN + 6), (_INT64_MAX - 6, _INT64_MAX), (_INT64_MIN, _INT64_MAX)]
@@ -192,7 +205,10 @@ def test_matches_against_a_double_loop(op, weights):
         else:
             w = [2**63 + int(x) for x in rng.integers(0, 1_000, size=n_child)]
             cw = np.array(w, dtype=object)
-        forms.add(_dense(domain, pv, cv))
+        dense = _dense(domain, pv, cv, op)
+        forms.add(dense)
+        if domain == _EIGHT_SLOTS_PER_ROW:
+            assert dense == (op in (ComparisonOp.EQ, ComparisonOp.NE))
         want = [sum(wy for y, wy in zip(cv.tolist(), w) if holds(x, y)) for x in pv.tolist()]
         got = _matches(pv, cv, cw, op, domain)
         assert got.shape == pv.shape

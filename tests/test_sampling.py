@@ -291,6 +291,15 @@ class TestSampleReader:
             load_sample(manifest)
         assert str(exc.value) == f"{tmp_path / 't.sample.csv'}: {msg}"
 
+    def test_repeat_in_sampleindex_order_rejected(self, tmp_path):
+        # In order, as save_sample writes it, yet not 1..3.
+        manifest = _write_sample(tmp_path, "1,1,2\n2,3,4\n2,5,6\n")
+        with pytest.raises(ValueError) as exc:
+            load_sample(manifest)
+        assert str(exc.value) == (
+            f"{tmp_path / 't.sample.csv'}: sampleindex values must be exactly 1..3 with no repeats"
+        )
+
     def test_index_permutation_checked(self, tmp_path):
         manifest = _write_sample(tmp_path, "1,1,2\n1,3,4\n3,5,6\n")
         with pytest.raises(ValueError, match=r"sampleindex values must be exactly 1\.\.3"):

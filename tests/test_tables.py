@@ -1,8 +1,13 @@
 """relation layer: domains, CSV ingestion/export, synthetic generators."""
 
+import os
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from selsample import tables
 from selsample.sampling import create_sample, load_sample, save_sample
 from selsample.tables import (
     ColumnMeta,
@@ -13,6 +18,7 @@ from selsample.tables import (
     generate_uniform_table,
     load_csv,
     read_csv,
+    read_int_csv,
     save_csv,
 )
 
@@ -327,6 +333,137 @@ class TestReaderMessages:
         p = tmp_path / "t.csv"
         p.write_bytes(b"C1,C2\r\n1,2\r\n3,4")
         assert read_csv(p).rows == [(1, 2), (3, 4)]
+
+
+def _any_cell(rng) -> str:
+    return str(int(rng.integers(-(10**6), 10**6)))
+
+
+def _padded_cell(rng) -> str:
+    sign = "-" if rng.random() < 0.5 else ""
+    return sign + "0" * int(rng.integers(1, 25)) + str(int(rng.integers(0, 10**6)))
+
+
+_EXTREMES = [INT64_MIN, INT64_MIN + 1, INT64_MAX - 1, INT64_MAX]
+
+# Valid files, one property each: (columns, cell maker, line end, final newline).
+_VALID_FILES = {
+    "negative values": (2, lambda rng: str(int(rng.integers(-(10**9), 0))), "\n", True),
+    "leading zeros": (2, _padded_cell, "\n", True),
+    "minus zero": (2, lambda rng: str(rng.choice(["-0", "-00", "0", "-" + "0" * 30])), "\n", True),
+    "int64 extremes": (2, lambda rng: str(rng.choice(_EXTREMES)), "\n", True),
+    **{f"k={k}": (k, _any_cell, "\n", True) for k in range(1, 5)},
+    "no final newline": (3, _any_cell, "\n", False),
+    "crlf": (2, _any_cell, "\r\n", True),
+}
+
+
+class TestReaderRoutes:
+    """The whole-file route (np.loadtxt on the path) against the row-by-row
+    route, and what sends a file to each."""
+
+    @pytest.mark.parametrize("case", list(_VALID_FILES))
+    def test_whole_file_route_equals_row_by_row(self, tmp_path, case):
+        k, cell, end, final = _VALID_FILES[case]
+        rng = np.random.default_rng(len(case) * 10 + k)
+        names = [f"C{j + 1}" for j in range(k)]
+        int64 = [Domain(INT64_MIN, INT64_MAX)] * k
+        p = tmp_path / "t.csv"
+        for n in (1, 2, 7, 300):
+            cells = [[cell(rng) for _ in range(k)] for _ in range(n)]
+            text = end.join([",".join(names), *(",".join(row) for row in cells)])
+            p.write_bytes((text + (end if final else "")).encode())
+            want = np.array([[int(c) for c in row] for row in cells], dtype=np.int64)
+            for columns, domains in [(None, None), (names, int64)]:
+                whole = tables._read_whole(p, columns, domains)
+                assert whole is not None
+                rows = tables._read_rows(p, p.read_text(), columns, domains)
+                assert whole[0] == rows[0] == names
+                assert whole[1].shape == rows[1].shape == (n, k)
+                assert np.array_equal(whole[1], rows[1]) and np.array_equal(whole[1], want)
+
+    def test_written_files_take_the_whole_file_route(self, tmp_path, monkeypatch):
+        # Without this, a silent fallback would keep every other test green.
+        read_whole, routes = tables._read_whole, []
+
+        def spy(*args):
+            read = read_whole(*args)
+            routes.append(read is not None)
+            return read
+
+        monkeypatch.setattr(tables, "_read_whole", spy)
+        t = generate_uniform_table("t", 500, 3, Domain(-50, 10**12), seed=4)
+        save_csv(t, tmp_path / "t.csv")
+        assert np.array_equal(read_csv(tmp_path / "t.csv").matrix(), t.matrix())
+        assert load_csv(tmp_path / "t.csv", t.columns) == t
+        sdb = create_sample(200, [t, generate_uniform_table("u", 30, 1, Domain(0, 9), seed=5)], seed=9)
+        loaded = load_sample(save_sample(sdb, tmp_path / "s"))
+        for st in sdb.tables:
+            assert np.array_equal(loaded.table(st.name).matrix(), st.matrix())
+        assert routes == [True] * 4
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_plain_file_with_a_compression_suffix(self, tmp_path, suffix):
+        text = "C1,C2\n1,2\n-3,40\n"
+        (tmp_path / "t.csv").write_text(text)
+        (tmp_path / f"t.csv{suffix}").write_text(text)
+        names, m = read_int_csv(tmp_path / f"t.csv{suffix}")
+        want_names, want = read_int_csv(tmp_path / "t.csv")
+        assert names == want_names and np.array_equal(m, want)
+        schema = [ColumnMeta("C1", Domain(-5, 50)), ColumnMeta("C2", Domain(-5, 50))]
+        assert load_csv(tmp_path / f"t.csv{suffix}", schema, name="t").rows == [(1, 2), (-3, 40)]
+
+    @pytest.mark.parametrize("same_size", [False, True], ids=["longer", "same size"])
+    def test_file_rewritten_during_the_parse(self, tmp_path, monkeypatch, same_size):
+        # np.loadtxt takes " 5"; the checked bytes had "5" (or "15") there.
+        p = tmp_path / "t.csv"
+        p.write_text("C1,C2\n1,2\n15,1\n" if same_size else "C1,C2\n1,2\n5,1\n")
+        mtime = os.stat(p).st_mtime_ns
+        loadtxt = np.loadtxt
+
+        def rewrite_then_load(fname, *args, **kwargs):
+            Path(fname).write_text("C1,C2\n1,2\n 5,1\n")
+            # A later write's time, even where the clock is coarser than one write.
+            os.utime(fname, ns=(mtime + 10**9, mtime + 10**9))
+            return loadtxt(fname, *args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", rewrite_then_load)
+        with pytest.raises(CsvFormatError) as exc:
+            read_csv(p)
+        assert str(exc.value) == f"{p}: row 2, column C1: not an integer: ' 5'"
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "1,2\r3,4\n",
+            # numpy reads three lines, skips the blank one and keeps two: as
+            # many as there are LFs.
+            "1,2\r3,4\n\n",
+            "1,2\n\n3,4\n",
+            "\n1,2\n",
+            "1,2\n3,4\n\n",
+            "1,2\r\n\r\n3,4\r\n",
+            # np.loadtxt would warn that the file holds no data.
+            "\n\n",
+            "١٢,3\n",
+        ],
+        ids=[
+            "lone CR",
+            "lone CR and a blank line",
+            "blank line",
+            "blank first line",
+            "blank last line",
+            "blank CRLF line",
+            "only blank lines",
+            "non-ASCII digits",
+        ],
+    )
+    def test_row_by_row_route_takes_the_rest(self, tmp_path, body):
+        p = tmp_path / "t.csv"
+        p.write_bytes(("C1,C2\n" + body).encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert tables._read_whole(p, None, None) is None
 
 
 class TestImmutable:
