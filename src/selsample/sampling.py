@@ -8,6 +8,7 @@ base tables, which is what the selectivity estimators count against.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 from typing import Sequence
@@ -23,6 +24,8 @@ __all__ = [
     "save_sample",
     "load_sample",
 ]
+
+_DIGEST_BYTES = 32  # SHA-256
 
 
 class SampleTable(Table):
@@ -99,8 +102,12 @@ def create_sample(s: int, tables: Sequence[Table], seed: int) -> SampleDatabase:
 def save_sample(sampledb: SampleDatabase, out_dir: str | Path) -> Path:
     """Persist a sample database as one CSV per table plus a manifest.json.
 
-    Sample CSVs carry sampleindex as the leading column. Returns the manifest
-    path.
+    Sample CSVs carry sampleindex as the leading column. Beside each CSV goes
+    a binary sidecar, the CSV's name plus ".bin": a SHA-256 digest of the
+    CSV's bytes followed by the payload, then the payload itself, the s x k
+    sample matrix as little-endian int64 in column-major order. load_sample
+    reads a table from its sidecar when the two still match, and from the CSV
+    otherwise. Returns the manifest path.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -108,12 +115,26 @@ def save_sample(sampledb: SampleDatabase, out_dir: str | Path) -> Path:
     for st in sampledb.tables:
         fname = f"{st.name}.sample.csv"
         tagged = np.column_stack((np.arange(1, st.row_count + 1, dtype=np.int64), st.matrix()))
-        write_int_csv(out / fname, ("sampleindex", *st.column_names), tagged)
+        csv = write_int_csv(out / fname, ("sampleindex", *st.column_names), tagged)
+        payload = st.matrix().astype("<i8", copy=False).tobytes(order="F")
+        _sidecar(out / fname).write_bytes(_digest(csv, payload) + payload)
         entries.append({"base": st.name, "file": fname, "columns": list(st.column_names)})
     manifest = {"size": sampledb.size, "seed": sampledb.seed, "tables": entries}
     manifest_path = out / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", newline="\n")
     return manifest_path
+
+
+def _sidecar(csv_path: Path) -> Path:
+    """The binary copy written beside a sample CSV."""
+    return csv_path.with_name(csv_path.name + ".bin")
+
+
+def _digest(csv: bytes, payload: bytes | memoryview) -> bytes:
+    """SHA-256 over a sample CSV's bytes followed by its sidecar's payload."""
+    h = hashlib.sha256(csv)
+    h.update(payload)
+    return h.digest()
 
 
 def _read_manifest(mp: Path) -> tuple[int, int, list[dict]]:
@@ -157,9 +178,19 @@ def _read_manifest(mp: Path) -> tuple[int, int, list[dict]]:
 def load_sample(manifest_path: str | Path) -> SampleDatabase:
     """Load a sample database previously written by save_sample.
 
-    Each sample file's sampleindex values must be exactly 1..size, in any
-    order; the rows are stored in sampleindex order. Column domains are the
-    [min, max] of the sampled values.
+    Each table comes from its sidecar (see save_sample) when all of these
+    hold: the sidecar holds a digest and size x k int64 values, for the
+    manifest's size and its k columns; the CSV's header is sampleindex and
+    the manifest's columns; and the digest matches the CSV's bytes and the
+    payload. A matching digest shows that save_sample wrote this CSV and this
+    payload together, so the CSV's sampleindex runs 1..size in order and its
+    rows are the payload's, without parsing it.
+
+    Any other table is read from its CSV: a missing, short, stale or edited
+    sidecar, or a sample written by hand. Its sampleindex values must be
+    exactly 1..size, in any order; the rows are stored in sampleindex order.
+    Both routes give the same tables and the same errors. Column domains are
+    the [min, max] of the sampled values.
     """
     mp = Path(manifest_path)
     if not mp.is_file():
@@ -168,17 +199,9 @@ def load_sample(manifest_path: str | Path) -> SampleDatabase:
     tables = []
     for entry in entries:
         path = mp.parent / entry["file"]
-        _, m = read_int_csv(path, ["sampleindex", *entry["columns"]])
-        # Lengths first: the manifest's size may be far beyond what fits in memory.
-        if m.shape[0] != size:
-            raise ValueError(f"{path}: sampleindex values must be exactly 1..{size} with no repeats")
-        indexes = np.arange(1, size + 1)
-        # save_sample writes the rows in sampleindex order; other files are sorted.
-        if not np.array_equal(m[:, 0], indexes):
-            m = m[np.argsort(m[:, 0])]
-            if not np.array_equal(m[:, 0], indexes):
-                raise ValueError(f"{path}: sampleindex values must be exactly 1..{size} with no repeats")
-        rows = m[:, 1:]
+        rows = _read_sidecar(path, entry["columns"], size)
+        if rows is None:
+            rows = _read_sample_csv(path, entry["columns"], size)
         try:
             tables.append(SampleTable(entry["base"], spanning_schema(entry["columns"], rows), rows))
         except ValueError as exc:
@@ -187,3 +210,38 @@ def load_sample(manifest_path: str | Path) -> SampleDatabase:
         return SampleDatabase(size, seed, tables)
     except ValueError as exc:
         raise ValueError(f"{mp}: {exc}") from None
+
+
+def _read_sidecar(path: Path, columns: list[str], size: int) -> np.ndarray | None:
+    """The (size, len(columns)) sample matrix from the sidecar of CSV file
+    path, or None where the CSV route must read the table."""
+    try:
+        sidecar = _sidecar(path).read_bytes()
+        if len(sidecar) != _DIGEST_BYTES + 8 * size * len(columns):
+            return None
+        csv = path.read_bytes()
+    except OSError:
+        return None
+    header = ",".join(["sampleindex", *columns]) + "\n"
+    if not header.isascii() or not csv.startswith(header.encode()):
+        return None
+    payload = memoryview(sidecar)[_DIGEST_BYTES:]
+    if sidecar[:_DIGEST_BYTES] != _digest(csv, payload):
+        return None
+    return np.frombuffer(payload, dtype="<i8").reshape((size, len(columns)), order="F")
+
+
+def _read_sample_csv(path: Path, columns: list[str], size: int) -> np.ndarray:
+    """The (size, len(columns)) sample matrix parsed from CSV file path, in
+    sampleindex order."""
+    _, m = read_int_csv(path, ["sampleindex", *columns])
+    # Lengths first: the manifest's size may be far beyond what fits in memory.
+    if m.shape[0] != size:
+        raise ValueError(f"{path}: sampleindex values must be exactly 1..{size} with no repeats")
+    indexes = np.arange(1, size + 1)
+    # save_sample writes the rows in sampleindex order; other files are sorted.
+    if not np.array_equal(m[:, 0], indexes):
+        m = m[np.argsort(m[:, 0])]
+        if not np.array_equal(m[:, 0], indexes):
+            raise ValueError(f"{path}: sampleindex values must be exactly 1..{size} with no repeats")
+    return m[:, 1:]

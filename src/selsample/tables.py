@@ -303,12 +303,14 @@ def _outside(m: np.ndarray, domains: Sequence[Domain]) -> np.ndarray:
     return (m < [d.lo for d in domains]) | (m > [d.hi for d in domains])
 
 
-def write_int_csv(path: str | Path, names: Sequence[str], matrix: np.ndarray) -> None:
-    """Write a header line and the matrix rows: integer cells, commas, LF newlines."""
+def write_int_csv(path: str | Path, names: Sequence[str], matrix: np.ndarray) -> bytes:
+    """Write a header line and the matrix rows: integer cells, commas, LF
+    newlines. Returns the bytes written."""
     n, k = matrix.shape
     row = ",".join(["%d"] * k) + "\n"
-    text = ",".join(names) + "\n" + (row * n) % tuple(matrix.ravel().tolist())
-    Path(path).write_text(text, newline="\n")
+    data = (",".join(names) + "\n" + (row * n) % tuple(matrix.ravel().tolist())).encode()
+    Path(path).write_bytes(data)
+    return data
 
 
 def load_csv(path: str | Path, schema: Sequence[ColumnMeta], name: str | None = None) -> Table:

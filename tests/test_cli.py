@@ -174,6 +174,20 @@ class TestEstimate:
         exact_field = line.split(",")[3]
         assert exact_field != ""
 
+    def test_exact_against_does_not_carry_into_the_next_command(self, tmp_path, uniform_csv):
+        # main reuses one parser; the appended --exact-against list must not.
+        sample_dir = tmp_path / "sample"
+        run(["build-sample", "--table", str(uniform_csv), "--size", "64", "--seed", "1",
+             "--out", str(sample_dir)])
+        argv = ["estimate", "--query", "SELECT * FROM t WHERE t.C1 >= 50",
+                "--sample", str(sample_dir / "manifest.json")]
+        exact_fields = []
+        for extra in (["--exact-against", str(uniform_csv)], []):
+            out = tmp_path / f"est{len(exact_fields)}.csv"
+            assert run(argv + extra + ["--out", str(out)]) == 0
+            exact_fields.append(out.read_text().splitlines()[1].split(",")[3])
+        assert exact_fields[0] != "" and exact_fields[1] == ""
+
     @pytest.mark.parametrize("exact", [False, True])
     def test_sample_cell_beyond_int64_exits_2(self, tmp_path, uniform_csv, capsys, exact):
         sample_dir = tmp_path / "sample"

@@ -1,15 +1,21 @@
 """Index-aligned sampler: invariants, determinism, uniformity, persistence."""
 
+import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_table
+from selsample import sampling
 from selsample.execution import estimate_all_nodes
 from selsample.queries import parse_query
-from selsample.sampling import SampleDatabase, create_sample, load_sample, save_sample
-from selsample.tables import ColumnMeta, CsvFormatError, Domain, Table
+from selsample.sampling import SampleDatabase, SampleTable, create_sample, load_sample, save_sample
+from selsample.tables import ColumnMeta, CsvFormatError, Domain, Table, spanning_schema
 
 
 class TestCreateSample:
@@ -363,3 +369,123 @@ class TestSampleStorage:
             st.rows = ()
         with pytest.raises(AttributeError):
             st.indexes = range(4)
+
+
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
+@st.composite
+def _sample_dbs(draw):
+    size = draw(st.integers(1, 12))
+    cells = st.one_of(st.sampled_from([_INT64_MIN, _INT64_MAX, -1, 0]), st.integers(_INT64_MIN, _INT64_MAX))
+    tables = []
+    for name in draw(st.lists(st.sampled_from("ABC"), min_size=1, max_size=3, unique=True)):
+        k = draw(st.integers(1, 3))
+        m = np.array(draw(st.lists(cells, min_size=size * k, max_size=size * k)), dtype=np.int64).reshape(size, k)
+        tables.append(SampleTable(name, spanning_schema([f"C{j + 1}" for j in range(k)], m), m))
+    return SampleDatabase(size, draw(st.integers(0, 2**32)), tables)
+
+
+def _single_row_db() -> SampleDatabase:
+    m = np.array([[_INT64_MIN, _INT64_MAX, -7]], dtype=np.int64)
+    return SampleDatabase(1, 3, [SampleTable("A", spanning_schema(["C1", "C2", "C3"], m), m)])
+
+
+def _as_loaded(sdb: SampleDatabase):
+    """What load_sample gives for a saved sdb: each column's domain is the
+    [min, max] of its sampled values."""
+    tables = [SampleTable(t.name, spanning_schema(t.column_names, t.matrix()), t.matrix()) for t in sdb.tables]
+    return sdb.size, sdb.seed, tuple(tables)
+
+
+def _loaded(manifest: Path):
+    """What load_sample gives: size, seed and tables, or the error text."""
+    try:
+        sdb = load_sample(manifest)
+    except ValueError as exc:
+        return str(exc)
+    return sdb.size, sdb.seed, sdb.tables
+
+
+def _csv_route(manifest: Path):
+    """What load_sample gives from the CSV files alone."""
+    for sidecar in manifest.parent.glob("*.bin"):
+        sidecar.unlink()
+    return _loaded(manifest)
+
+
+def _flip_payload_byte(d: Path) -> None:
+    p = d / "A.sample.csv.bin"
+    data = bytearray(p.read_bytes())
+    data[40] ^= 1
+    p.write_bytes(bytes(data))
+
+
+def _reorder_rows(d: Path) -> None:
+    p = d / "A.sample.csv"
+    header, *lines = p.read_text().splitlines()
+    p.write_text("\n".join([header, *reversed(lines)]) + "\n")
+
+
+def _edit_manifest(key: str, value):
+    def edit(d: Path) -> None:
+        manifest = json.loads((d / "manifest.json").read_text())
+        if key in manifest:
+            manifest[key] = value
+        else:
+            manifest["tables"][0][key] = value
+        (d / "manifest.json").write_text(json.dumps(manifest))
+
+    return edit
+
+
+class TestSidecar:
+    @given(_sample_dbs())
+    @example(_single_row_db())
+    @settings(max_examples=60, deadline=None)
+    def test_sidecar_route_equals_csv_route(self, sdb):
+        with tempfile.TemporaryDirectory() as d:
+            manifest = save_sample(sdb, Path(d))
+            for t in sdb.tables:
+                path = Path(d) / f"{t.name}.sample.csv"
+                assert np.array_equal(sampling._read_sidecar(path, list(t.column_names), sdb.size), t.matrix())
+            assert _loaded(manifest) == _csv_route(manifest) == _as_loaded(sdb)
+
+    def test_sidecar_layout(self, tmp_path):
+        sdb = create_sample(2, [make_table("T", [(6, -7)], domain=(-10, 10))], seed=0)
+        save_sample(sdb, tmp_path)
+        data = (tmp_path / "T.sample.csv.bin").read_bytes()
+        payload = np.array([6, 6, -7, -7], dtype="<i8").tobytes()
+        assert data[32:] == payload
+        csv = b"sampleindex,C1,C2\n1,6,-7\n2,6,-7\n"
+        assert (tmp_path / "T.sample.csv").read_bytes() == csv
+        assert data[:32] == hashlib.sha256(csv + payload).digest()
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda d: (d / "A.sample.csv.bin").unlink(), None),
+            (lambda d: (d / "A.sample.csv.bin").write_bytes((d / "A.sample.csv.bin").read_bytes()[:-8]), None),
+            (_flip_payload_byte, None),
+            (_reorder_rows, None),
+            (_edit_manifest("size", 41), "A.sample.csv: sampleindex values must be exactly 1..41 with no repeats"),
+            (
+                _edit_manifest("columns", ["C2", "C1"]),
+                "A.sample.csv: header mismatch: expected 'sampleindex,C2,C1', got 'sampleindex,C1,C2'",
+            ),
+        ],
+        ids=["deleted", "truncated", "payload byte flipped", "rows reordered", "size edited", "columns edited"],
+    )
+    def test_mismatched_sidecar_takes_the_csv_route(self, tmp_path, edit, message):
+        rng = np.random.default_rng(5)
+        a = make_table("A", rng.integers(-50, 50, size=(30, 2)).tolist(), domain=(-50, 50))
+        b = make_table("B", rng.integers(0, 9, size=(20, 1)).tolist(), domain=(0, 9), num_columns=1)
+        sdb = create_sample(40, [a, b], seed=8)
+        manifest = save_sample(sdb, tmp_path)
+        edit(tmp_path)
+        loaded = _loaded(manifest)
+        if message is None:
+            assert loaded == _as_loaded(sdb)
+        else:
+            assert loaded == f"{tmp_path / message}"
+        assert loaded == _csv_route(manifest)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from selsample import tables
+from selsample import sampling, tables
 from selsample.sampling import create_sample, load_sample, save_sample
 from selsample.tables import (
     ColumnMeta,
@@ -384,14 +384,21 @@ class TestReaderRoutes:
 
     def test_written_files_take_the_whole_file_route(self, tmp_path, monkeypatch):
         # Without this, a silent fallback would keep every other test green.
-        read_whole, routes = tables._read_whole, []
+        # Base tables take the whole-file route; sample tables, their sidecars.
+        routes = {"whole": [], "sidecar": []}
 
-        def spy(*args):
-            read = read_whole(*args)
-            routes.append(read is not None)
-            return read
+        def spy(module, name, route):
+            read = getattr(module, name)
 
-        monkeypatch.setattr(tables, "_read_whole", spy)
+            def spied(*args):
+                result = read(*args)
+                routes[route].append(result is not None)
+                return result
+
+            monkeypatch.setattr(module, name, spied)
+
+        spy(tables, "_read_whole", "whole")
+        spy(sampling, "_read_sidecar", "sidecar")
         t = generate_uniform_table("t", 500, 3, Domain(-50, 10**12), seed=4)
         save_csv(t, tmp_path / "t.csv")
         assert np.array_equal(read_csv(tmp_path / "t.csv").matrix(), t.matrix())
@@ -400,7 +407,7 @@ class TestReaderRoutes:
         loaded = load_sample(save_sample(sdb, tmp_path / "s"))
         for st in sdb.tables:
             assert np.array_equal(loaded.table(st.name).matrix(), st.matrix())
-        assert routes == [True] * 4
+        assert routes == {"whole": [True] * 2, "sidecar": [True] * 2}
 
     @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
     def test_plain_file_with_a_compression_suffix(self, tmp_path, suffix):
