@@ -39,7 +39,6 @@ from .queries import (
     SelectLeaf,
     SelectionClause,
     class_params,
-    eval_predicate,
     leaf_tables,
     parse_query,
     subplans,
@@ -62,7 +61,6 @@ from .tables import (
     Table,
     generate_correlated_table,
     generate_uniform_table,
-    load_csv,
     read_csv,
     save_csv,
 )

@@ -21,6 +21,7 @@ import numpy as np
 
 from .execution import EstimateRecord, estimate_all_nodes, exact_selectivity
 from .queries import (
+    PREDICATE_LIMIT,
     And,
     BoolExpr,
     ColumnRef,
@@ -78,6 +79,8 @@ class WorkloadSpec:
             raise ValueError("m must be at least 1")
         if self.b < self.m:
             raise ValueError("b must be at least m so every chosen column is used")
+        if self.b > PREDICATE_LIMIT:
+            raise ValueError(f"b must be at most {PREDICATE_LIMIT}")
         if self.kind not in WORKLOAD_KINDS:
             raise ValueError(f"kind must be one of {WORKLOAD_KINDS}")
 

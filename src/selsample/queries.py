@@ -18,7 +18,6 @@ top-level AND terms and are chained, in WHERE order, into a left-deep plan.
 
 from __future__ import annotations
 
-import operator
 import re
 import warnings
 from dataclasses import dataclass
@@ -28,6 +27,7 @@ from typing import Iterator, Mapping, Sequence, Union
 from .tables import Table
 
 __all__ = [
+    "PREDICATE_LIMIT",
     "ComparisonOp",
     "SelectionClause",
     "And",
@@ -42,7 +42,6 @@ __all__ = [
     "ParseError",
     "SchemaWarning",
     "parse_query",
-    "eval_predicate",
     "clause_count",
     "predicate_columns",
     "class_params",
@@ -50,6 +49,12 @@ __all__ = [
     "leaf_tables",
     "to_sql",
 ]
+
+
+# The most clauses a query may hold, and the deepest its parentheses may nest.
+# The parser and the predicate evaluators recurse once per clause and per
+# nesting level, so this keeps them well inside Python's recursion limit.
+PREDICATE_LIMIT = 100
 
 
 class ParseError(ValueError):
@@ -72,22 +77,10 @@ class ComparisonOp(Enum):
     EQ = "="
     NE = "<>"
 
-    def apply(self, a: int, b: int) -> bool:
-        return _OP_FUNCS[self](a, b)
-
     def flipped(self) -> "ComparisonOp":
         """Operator with operands swapped: a op b  iff  b op.flipped() a."""
         return _FLIPPED[self]
 
-
-_OP_FUNCS = {
-    ComparisonOp.LT: operator.lt,
-    ComparisonOp.GT: operator.gt,
-    ComparisonOp.LE: operator.le,
-    ComparisonOp.GE: operator.ge,
-    ComparisonOp.EQ: operator.eq,
-    ComparisonOp.NE: operator.ne,
-}
 
 _FLIPPED = {
     ComparisonOp.LT: ComparisonOp.GT,
@@ -211,20 +204,6 @@ def clause_count(expr: BoolExpr, *, effective: bool = False) -> int:
 
 def predicate_columns(expr: BoolExpr) -> set[str]:
     return {c.column for c in iter_clauses(expr)}
-
-
-def eval_predicate(expr: BoolExpr, row: Sequence[int], columns: Sequence[str]) -> bool:
-    """Evaluate a predicate on one row; `columns` gives the row's column order."""
-    index = {name: i for i, name in enumerate(columns)}
-    return _eval(expr, row, index)
-
-
-def _eval(expr: BoolExpr, row: Sequence[int], index: Mapping[str, int]) -> bool:
-    if isinstance(expr, SelectionClause):
-        return expr.op.apply(row[index[expr.column]], expr.constant)
-    if isinstance(expr, And):
-        return _eval(expr.left, row, index) and _eval(expr.right, row, index)
-    return _eval(expr.left, row, index) or _eval(expr.right, row, index)
 
 
 def subplans(plan: QueryPlan) -> list[QueryPlan]:
@@ -383,6 +362,8 @@ class _Parser:
         self.i = 0
         self.catalog = catalog
         self.from_tables: list[str] = []
+        self.clauses = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -441,9 +422,13 @@ class _Parser:
 
     def _factor(self):
         if self.peek().kind == "(":
-            self.advance()
+            tok = self.advance()
+            self.depth += 1
+            if self.depth > PREDICATE_LIMIT:
+                raise ParseError(f"parentheses nested more than {PREDICATE_LIMIT} deep", tok.pos)
             node = self._expr()
             self.expect(")", "')'")
+            self.depth -= 1
             return node
         return self._clause()
 
@@ -460,6 +445,9 @@ class _Parser:
         return tok.text, col.text, tok.pos
 
     def _clause(self):
+        self.clauses += 1
+        if self.clauses > PREDICATE_LIMIT:
+            raise ParseError(f"more than {PREDICATE_LIMIT} clauses", self.peek().pos)
         t1, c1, pos = self._qualcol()
         op_tok = self.peek()
         if op_tok.kind not in _OP_BY_SYMBOL:

@@ -151,10 +151,14 @@ def _read_manifest(mp: Path) -> tuple[int, int, list[dict]]:
             raise ValueError(f"{mp}: no {key!r} entry")
     ints = []
     for key in ("size", "seed"):
+        value = manifest[key]
         try:
-            ints.append(int(manifest[key]))
+            # int() would take true as 1 and truncate 500.7 to 500.
+            if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+                raise ValueError
+            ints.append(int(value))
         except (TypeError, ValueError, OverflowError):
-            raise ValueError(f"{mp}: {key!r} is not an integer: {manifest[key]!r}") from None
+            raise ValueError(f"{mp}: {key!r} is not an integer: {value!r}") from None
     if ints[0] < 1:
         raise ValueError(f"{mp}: 'size' must be at least 1")
     tables = manifest["tables"]

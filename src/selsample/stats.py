@@ -36,7 +36,6 @@ __all__ = [
     "estimate_predicate",
     "estimate_join",
     "dump_stats",
-    "load_stats",
 ]
 
 INEQUALITY_JOIN_SELECTIVITY = 1.0 / 3.0  # conventional optimizer default
@@ -286,63 +285,3 @@ def dump_stats(catalog: StatsCatalog, path: str | Path) -> None:
         for b in st.histogram.boundaries:
             lines.append(f"boundary {b}")
     Path(path).write_text("\n".join(lines) + "\n", newline="\n")
-
-
-def load_stats(path: str | Path) -> StatsCatalog:
-    p = Path(path)
-    lines = p.read_text().split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines or not lines[0].startswith("catalog "):
-        raise ValueError(f"{p}: not a statistics catalog dump")
-    header = dict(kv.split("=", 1) for kv in lines[0].split()[1:])
-    catalog = StatsCatalog(int(header["buckets"]), int(header["mcv_capacity"]))
-
-    current: dict | None = None
-
-    def flush() -> None:
-        if current is None:
-            return
-        hist = EquiDepthHistogram(
-            tuple(current["boundaries"]),
-            current["bucket_fraction"],
-            current["total_non_mcv"],
-        )
-        catalog.add(
-            current["table"],
-            current["name"],
-            ColumnStats(
-                mcv=MCVList(tuple(current["mcv"]), catalog.mcv_capacity),
-                histogram=hist,
-                n_distinct=current["n_distinct"],
-                n_distinct_non_mcv=current["n_distinct_non_mcv"],
-            ),
-        )
-
-    for line in lines[1:]:
-        kind, _, rest = line.partition(" ")
-        if kind == "column":
-            flush()
-            fields = dict(kv.split("=", 1) for kv in rest.split())
-            current = {
-                "table": fields["table"],
-                "name": fields["name"],
-                "n_distinct": int(fields["n_distinct"]),
-                "n_distinct_non_mcv": int(fields["n_distinct_non_mcv"]),
-                "total_non_mcv": float(fields["total_non_mcv"]),
-                "bucket_fraction": float(fields["bucket_fraction"]),
-                "mcv": [],
-                "boundaries": [],
-            }
-        elif kind in ("mcv", "boundary"):
-            if current is None:
-                raise ValueError(f"{p}: {kind} entry before any column line")
-            if kind == "mcv":
-                value, freq = rest.split()
-                current["mcv"].append((int(value), float(freq)))
-            else:
-                current["boundaries"].append(int(rest))
-        else:
-            raise ValueError(f"{p}: unrecognized line: {line!r}")
-    flush()
-    return catalog

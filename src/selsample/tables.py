@@ -24,7 +24,6 @@ __all__ = [
     "read_int_csv",
     "write_int_csv",
     "spanning_schema",
-    "load_csv",
     "read_csv",
     "save_csv",
     "generate_uniform_table",
@@ -99,14 +98,15 @@ class Table:
         self.name = name
         self.columns = columns
         self._col_index = {c.name: i for i, c in enumerate(columns)}
-        self._matrix = int_matrix(rows, len(columns))
+        m = self._matrix = int_matrix(rows, len(columns))
+        lo, hi = [c.domain.lo for c in columns], [c.domain.hi for c in columns]
         # The first bad cell in column-major order.
-        bad = np.flatnonzero(_outside(self._matrix, [c.domain for c in columns]).T)
+        bad = np.flatnonzero(((m < lo) | (m > hi)).T)
         if bad.size:
             j, r = divmod(int(bad[0]), self.row_count)
             d = columns[j].domain
             raise ValueError(
-                f"row {r + 1}, column {columns[j].name}: value {int(self._matrix[r, j])} "
+                f"row {r + 1}, column {columns[j].name}: value {int(m[r, j])} "
                 f"outside domain [{d.lo}, {d.hi}]"
             )
 
@@ -170,15 +170,13 @@ def int_matrix(rows: np.ndarray | Iterable[Sequence[int]], k: int) -> np.ndarray
     return m
 
 
-def read_int_csv(
-    path: str | Path, columns: Sequence[str] | None = None, domains: Sequence[Domain] | None = None
-) -> tuple[list[str], np.ndarray]:
+def read_int_csv(path: str | Path, columns: Sequence[str] | None = None) -> tuple[list[str], np.ndarray]:
     """Read a CSV file of integers: a header line of column names, then one row per line.
 
     The header must equal `columns` when given, and consist of valid column
-    names otherwise. Every cell must match `-?\\d+` and lie inside its column's
-    domain, or inside int64 when `domains` is None. The first offending cell in
-    file order is reported with the file, its 1-based data row and its column.
+    names otherwise. Every cell must match `-?\\d+` and lie inside int64. The
+    first offending cell in file order is reported with the file, its 1-based
+    data row and its column.
     Returns the header's column names and the (rows, columns) matrix.
 
     A file takes one of two routes, with the same result and the same errors:
@@ -194,10 +192,10 @@ def read_int_csv(
     p = Path(path)
     if not p.is_file():
         raise FileNotFoundError(f"no such CSV file: {p}")
-    read = _read_whole(p, columns, domains)
+    read = _read_whole(p, columns)
     if read is not None:
         return read
-    return _read_rows(p, p.read_text(), columns, domains)
+    return _read_rows(p, p.read_text(), columns)
 
 
 # numpy's file opener decompresses files with these suffixes.
@@ -209,9 +207,7 @@ def _file_identity(p: Path) -> tuple[int, int, int, int]:
     return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
 
 
-def _read_whole(
-    p: Path, columns: Sequence[str] | None, domains: Sequence[Domain] | None
-) -> tuple[list[str], np.ndarray] | None:
+def _read_whole(p: Path, columns: Sequence[str] | None) -> tuple[list[str], np.ndarray] | None:
     """The header's names and the matrix of file p, parsed by `np.loadtxt` on
     the path; None where the row-by-row route must read the file.
 
@@ -225,11 +221,11 @@ def _read_whole(
     - no CR stands alone (CRLF reads as LF on both routes, a lone CR does not
       on numpy's);
     and it keeps the matrix only when the parse raised nothing, the matrix has
-    one row per line, so no line was blank, every cell lies in its domain,
-    and the file's identity (device, inode, size, modification time) is the
-    same before the byte read and after the parse, so the bytes checked are
-    the bytes parsed. (A rewrite that keeps the inode and the size within one
-    tick of the file system's clock would go unseen.)
+    one row per line, so no line was blank, and the file's identity (device,
+    inode, size, modification time) is the same before the byte read and
+    after the parse, so the bytes checked are the bytes parsed. (A rewrite
+    that keeps the inode and the size within one tick of the file system's
+    clock would go unseen.)
     """
     if p.suffix in _COMPRESSED_SUFFIXES:
         return None
@@ -245,7 +241,7 @@ def _read_whole(
         or (b"\r" in data and data.count(b"\r") != data.count(b"\r\n"))
     ):
         return None
-    names, _ = _read_rows(p, first.decode(), columns, None)  # raises on a bad header
+    names, _ = _read_rows(p, first.decode(), columns)  # raises on a bad header
     try:
         m = np.loadtxt(p, dtype=np.int64, delimiter=",", skiprows=1, comments=None, ndmin=2)
     except (ValueError, OSError):  # a cell beyond int64, ragged rows, a vanished file
@@ -254,14 +250,10 @@ def _read_whole(
     lines = np.count_nonzero(np.frombuffer(body, np.uint8) == ord("\n")) + (not body.endswith(b"\n"))
     if m.shape != (lines, len(names)) or _file_identity(p) != before:
         return None
-    if domains is not None and _outside(m, domains).any():
-        return None
     return names, m
 
 
-def _read_rows(
-    p: Path, text: str, columns: Sequence[str] | None, domains: Sequence[Domain] | None
-) -> tuple[list[str], np.ndarray]:
+def _read_rows(p: Path, text: str, columns: Sequence[str] | None) -> tuple[list[str], np.ndarray]:
     """read_int_csv on the decoded text of file p, one row at a time: raises
     the first error in file order, or parses what the whole-file route leaves
     out, such as digits outside ASCII."""
@@ -283,24 +275,14 @@ def _read_rows(
         cells = line.split(",")
         if len(cells) != k:
             raise CsvFormatError(f"{p}: row {rno}: {len(cells)} cells, expected {k}")
-        for j, (col, cell) in enumerate(zip(names, cells)):
+        for col, cell in zip(names, cells):
             where = f"{p}: row {rno}, column {col}"
             if not _INT_RE.fullmatch(cell):
                 raise CsvFormatError(f"{where}: not an integer: {cell!r}")
-            v = int(cell)
-            if domains is None:
-                if not _INT64_MIN <= v <= _INT64_MAX:
-                    raise CsvFormatError(f"{where}: value {cell} outside the 64-bit integer range")
-            elif v not in domains[j]:
-                d = domains[j]
-                raise CsvFormatError(f"{where}: value {v} outside domain [{d.lo}, {d.hi}]")
+            if not _INT64_MIN <= int(cell) <= _INT64_MAX:
+                raise CsvFormatError(f"{where}: value {cell} outside the 64-bit integer range")
         rows.append([int(c) for c in cells])
     return names, np.array(rows, dtype=np.int64).reshape(len(rows), k)
-
-
-def _outside(m: np.ndarray, domains: Sequence[Domain]) -> np.ndarray:
-    """Which cells of m lie outside their column's domain."""
-    return (m < [d.lo for d in domains]) | (m > [d.hi for d in domains])
 
 
 def write_int_csv(path: str | Path, names: Sequence[str], matrix: np.ndarray) -> bytes:
@@ -313,21 +295,8 @@ def write_int_csv(path: str | Path, names: Sequence[str], matrix: np.ndarray) ->
     return data
 
 
-def load_csv(path: str | Path, schema: Sequence[ColumnMeta], name: str | None = None) -> Table:
-    """Load a CSV file against a declared schema.
-
-    The first line must be the comma-separated schema column names; every cell
-    must parse as an integer inside its column's domain. Errors carry the
-    1-based data row number and the column name.
-    """
-    p = Path(path)
-    schema = tuple(schema)
-    _, m = read_int_csv(p, [c.name for c in schema], [c.domain for c in schema])
-    return _file_table(p, name, schema, m)
-
-
-def read_csv(path: str | Path, domain: Domain | None = None, name: str | None = None) -> Table:
-    """Load a CSV file without a declared schema.
+def read_csv(path: str | Path, domain: Domain | None = None) -> Table:
+    """Load a CSV file as a table named after the file.
 
     Column names come from the header; domains are either the one supplied
     (applied to every column) or inferred as each column's [min, max].
@@ -340,15 +309,9 @@ def read_csv(path: str | Path, domain: Domain | None = None, name: str | None = 
         schema = spanning_schema(names, m)
     else:
         raise CsvFormatError(f"{p}: cannot infer domains of an empty table; supply a domain")
-    return _file_table(p, name, schema, m)
-
-
-def _file_table(p: Path, name: str | None, schema: Sequence[ColumnMeta], m: np.ndarray) -> Table:
-    """The Table read from file p, named after the file unless `name` is given;
-    an invalid name or an out-of-domain value names the file."""
     try:
-        return Table(name or p.stem, schema, m)
-    except ValueError as exc:
+        return Table(p.stem, schema, m)
+    except ValueError as exc:  # an invalid name or an out-of-domain value
         raise CsvFormatError(f"{p}: {exc}") from None
 
 
@@ -361,7 +324,7 @@ def spanning_schema(names: Sequence[str], m: np.ndarray) -> list[ColumnMeta]:
 
 
 def save_csv(table: Table, path: str | Path) -> None:
-    """Write a table in the load_csv format: header line, integer cells, LF newlines."""
+    """Write a table in the read_csv format: header line, integer cells, LF newlines."""
     write_int_csv(path, table.column_names, table.matrix())
 
 

@@ -8,6 +8,7 @@ ceil(200*d + 599.15), e.g. d=2 -> 1000 and d=100 -> 20600.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -30,6 +31,20 @@ __all__ = [
 DEFAULT_LOG_BASE = 2.0
 
 
+def _in_float_range(formula):
+    """Make `formula` raise ValueError, not OverflowError or ZeroDivisionError,
+    where one of its values leaves the range of a float."""
+
+    @functools.wraps(formula)
+    def checked(*args, **kwargs):
+        try:
+            return formula(*args, **kwargs)
+        except (OverflowError, ZeroDivisionError):
+            raise ValueError(f"{formula.__name__}: the value lies beyond the range of a float") from None
+
+    return checked
+
+
 def _log(x: float, base: float) -> float:
     if base <= 1.0:
         raise ValueError("log base must be greater than 1")
@@ -48,6 +63,8 @@ class VcBoundReport:
     def __post_init__(self) -> None:
         if not self.bound >= 1.0:
             raise ValueError(f"VC bound must be at least 1, got {self.bound}")
+        if self.bound == math.inf:
+            raise ValueError("VC bound lies beyond the range of a float")
 
     @property
     def dimension(self) -> int:
@@ -98,6 +115,7 @@ def growth_function(d: int, n: int) -> int:
     return sum(math.comb(n, i) for i in range(d + 1))
 
 
+@_in_float_range
 def bound_select_single(m: int, log_base: float = DEFAULT_LOG_BASE) -> VcBoundReport:
     """Bound for single-clause selections over a table with m columns: m + 1."""
     if m < 1:
@@ -105,6 +123,7 @@ def bound_select_single(m: int, log_base: float = DEFAULT_LOG_BASE) -> VcBoundRe
     return VcBoundReport(float(m + 1), "select_single", log_base, {"m": m})
 
 
+@_in_float_range
 def bound_boolean_combination(
     d: int, h: int, log_base: float = DEFAULT_LOG_BASE
 ) -> VcBoundReport:
@@ -118,6 +137,7 @@ def bound_boolean_combination(
     return VcBoundReport(value, "boolean_combination", log_base, {"d": d, "h": h})
 
 
+@_in_float_range
 def bound_select_boolean(
     m: int, b: int, log_base: float = DEFAULT_LOG_BASE
 ) -> VcBoundReport:
@@ -137,6 +157,7 @@ def bound_select_boolean(
     return VcBoundReport(value, "select_boolean", log_base, {"m": m, "b": b})
 
 
+@_in_float_range
 def bound_join_pair(v1: int, v2: int, log_base: float = DEFAULT_LOG_BASE) -> VcBoundReport:
     """Bound for a two-table join over select classes of dims v1, v2: 3*(v1+v2)*log(v1+v2)."""
     if v1 < 2 or v2 < 2:
@@ -146,6 +167,7 @@ def bound_join_pair(v1: int, v2: int, log_base: float = DEFAULT_LOG_BASE) -> VcB
     return VcBoundReport(value, "join_pair", log_base, {"v1": v1, "v2": v2})
 
 
+@_in_float_range
 def bound_multi_join(
     u: int,
     dims: Sequence[int],
@@ -176,6 +198,7 @@ def bound_multi_join(
     return VcBoundReport(value, "multi_join", log_base, {"u": u, "dims": dims, "m": m})
 
 
+@_in_float_range
 def bound_general(
     u: int, m: int, b: int, log_base: float = DEFAULT_LOG_BASE
 ) -> VcBoundReport:
@@ -200,6 +223,7 @@ def bound_general(
     return VcBoundReport(value, "general", log_base, {"u": u, "m": m, "b": b})
 
 
+@_in_float_range
 def sample_size_eps(spec: SampleSizeSpec) -> int:
     """Sample size for an epsilon-approximation: ceil((c/eps^2)*(d + ln(1/delta))).
 
@@ -212,6 +236,7 @@ def sample_size_eps(spec: SampleSizeSpec) -> int:
     return size
 
 
+@_in_float_range
 def sample_size_rel(spec: SampleSizeSpec) -> int:
     """Sample size for a relative (p, epsilon)-approximation.
 

@@ -8,6 +8,7 @@ they stay independent of what they verify.
 from __future__ import annotations
 
 import itertools
+import operator
 
 import numpy as np
 
@@ -21,7 +22,6 @@ from selsample.queries import (
     QueryPlan,
     SelectLeaf,
     SelectionClause,
-    eval_predicate,
     leaf_tables,
     subplans,
 )
@@ -36,6 +36,18 @@ ALL_OPS = (
     ComparisonOp.EQ,
     ComparisonOp.NE,
 )
+
+
+# The comparison each operator stands for, written out here so that the
+# oracles share no predicate logic with the program.
+OP_FUNCS = {
+    ComparisonOp.LT: operator.lt,
+    ComparisonOp.GT: operator.gt,
+    ComparisonOp.LE: operator.le,
+    ComparisonOp.GE: operator.ge,
+    ComparisonOp.EQ: operator.eq,
+    ComparisonOp.NE: operator.ne,
+}
 
 
 def make_table(name: str, rows, domain=(0, 5), num_columns: int = 2) -> Table:
@@ -85,11 +97,20 @@ def random_plan(rng: np.random.Generator, tables: list[Table], u: int) -> QueryP
     return plan
 
 
+def _satisfies(expr, row: tuple[int, ...], columns: tuple[str, ...]) -> bool:
+    """Whether one row satisfies a predicate, clause by clause."""
+    if isinstance(expr, SelectionClause):
+        return OP_FUNCS[expr.op](row[columns.index(expr.column)], expr.constant)
+    if isinstance(expr, And):
+        return _satisfies(expr.left, row, columns) and _satisfies(expr.right, row, columns)
+    return _satisfies(expr.left, row, columns) or _satisfies(expr.right, row, columns)
+
+
 def _combo_satisfies(plan: QueryPlan, rows_by_table: dict[str, tuple[int, ...]],
                      columns_by_table: dict[str, tuple[str, ...]]) -> bool:
     for node in subplans(plan):
         if isinstance(node, SelectLeaf):
-            if node.predicate is not None and not eval_predicate(
+            if node.predicate is not None and not _satisfies(
                 node.predicate, rows_by_table[node.table], columns_by_table[node.table]
             ):
                 return False
@@ -99,7 +120,7 @@ def _combo_satisfies(plan: QueryPlan, rows_by_table: dict[str, tuple[int, ...]],
             rrow = rows_by_table[cond.right.table]
             lval = lrow[columns_by_table[cond.left.table].index(cond.left.column)]
             rval = rrow[columns_by_table[cond.right.table].index(cond.right.column)]
-            if not cond.op.apply(lval, rval):
+            if not OP_FUNCS[cond.op](lval, rval):
                 return False
     return True
 

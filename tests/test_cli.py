@@ -7,12 +7,16 @@ import pytest
 from selsample.cli import main
 from selsample.queries import SchemaWarning
 from selsample.sampling import load_sample
-from selsample.stats import load_stats
 from selsample.tables import read_csv
 
 
 def run(argv):
     return main(argv)
+
+
+def assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 @pytest.fixture()
@@ -101,8 +105,8 @@ class TestBuildStats:
         code = run(["build-stats", "--table", str(uniform_csv), "--buckets", "10",
                     "--mcv", "5", "--out", str(out)])
         assert code == 0
-        cat = load_stats(out)
-        assert ("t", "C1") in cat and ("t", "C2") in cat
+        columns = [line.split()[1:3] for line in out.read_text().splitlines() if line.startswith("column ")]
+        assert columns == [["table=t", "name=C1"], ["table=t", "name=C2"]]
 
     def test_value_beyond_int64_exits_2(self, tmp_path, capsys):
         big = tmp_path / "big.csv"
@@ -142,8 +146,57 @@ class TestBoundsAndSampleSize:
     def test_sample_size_needs_inputs(self):
         assert run(["sample-size"]) == 2
 
+    # Each one overflows or underflows a float inside a bound or size formula.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample-size", "--u", "1", "--m", "1", "--b", "1", "--epsilon", "1e-200"],
+            ["sample-size", "--u", "1", "--m", "1", "--b", "1", "--epsilon", "1e-160"],
+            ["sample-size", "--d-override", "1", "--c", "1e308"],
+            ["sample-size", "--d-override", "1", "--p", "1e-300", "--epsilon", "1e-10"],
+            ["sample-size", "--d-override", "1" + "0" * 320],
+            ["bounds", "--m", "1" + "0" * 320, "--b", "1"],
+            ["bounds", "--u", "1" + "0" * 320, "--m", "1", "--b", "1"],
+            ["bounds", "--u", "1" + "0" * 160, "--m", "1", "--b", "1"],
+            ["build-sample", "--auto", "--u", "1", "--m", "1", "--b", "1", "--epsilon", "1e-200"],
+        ],
+        ids=[
+            "epsilon squared is 0",
+            "size is infinite",
+            "c is huge",
+            "p times epsilon squared is 0",
+            "d beyond a float",
+            "m beyond a float",
+            "u beyond a float",
+            "bound is infinite",
+            "build-sample epsilon squared is 0",
+        ],
+    )
+    def test_formula_beyond_float_range_exits_2(self, tmp_path, uniform_csv, capsys, argv):
+        if argv[0] == "build-sample":
+            argv = [*argv, "--table", str(uniform_csv), "--out", str(tmp_path / "s")]
+        assert run(argv) == 2
+        assert_one_error_line(capsys)
+
 
 class TestEstimate:
+    @pytest.mark.parametrize(
+        "where",
+        [
+            "(" * 1200 + "t.C1 < 5" + ")" * 1200,
+            " OR ".join(["t.C1 < 5"] * 3000),
+            " AND ".join(["t.C1 < 5"] * 3000),
+        ],
+        ids=["1200 nested parentheses", "3000 OR terms", "3000 AND terms"],
+    )
+    def test_predicate_beyond_the_parse_limit_exits_2(self, tmp_path, uniform_csv, capsys, where):
+        sample_dir = tmp_path / "sample"
+        run(["build-sample", "--table", str(uniform_csv), "--size", "64", "--out", str(sample_dir)])
+        capsys.readouterr()
+        argv = ["estimate", "--query", f"SELECT * FROM t WHERE {where}", "--sample", str(sample_dir / "manifest.json")]
+        assert run(argv) == 2
+        assert_one_error_line(capsys)
+
     def test_stdout_csv(self, tmp_path, uniform_csv, capsys):
         sample_dir = tmp_path / "sample"
         run(["build-sample", "--table", str(uniform_csv), "--size", "64", "--seed", "1",
@@ -334,6 +387,13 @@ class TestExperiment:
         assert run(argv) == 2
         assert capsys.readouterr().err == "error: sample size 300 is given more than once\n"
         assert not (tmp_path / "exp").exists()
+
+    def test_workload_b_beyond_the_parse_limit_exits_2(self, tmp_path, uniform_csv, capsys):
+        argv = self._args(uniform_csv, tmp_path / "exp")
+        argv[argv.index("--workload-b") + 1] = "3000"
+        capsys.readouterr()
+        assert run(argv) == 2
+        assert capsys.readouterr().err == "error: b must be at most 100\n"
 
     def test_repeated_method_exits_2(self, tmp_path, uniform_csv, capsys):
         argv = self._args(uniform_csv, tmp_path / "exp")

@@ -3,7 +3,7 @@
 import pytest
 
 from conftest import make_table
-from selsample.execution import estimate_all_nodes
+from selsample.execution import estimate_all_nodes, exact_selectivity
 from selsample.harness import (
     ErrorSummary,
     WorkloadSpec,
@@ -13,7 +13,7 @@ from selsample.harness import (
     run_experiment,
     summary_csv,
 )
-from selsample.queries import JoinNode, SelectLeaf, class_params, ComparisonOp
+from selsample.queries import PREDICATE_LIMIT, JoinNode, SelectLeaf, class_params, ComparisonOp
 from selsample.sampling import create_sample
 from selsample.tables import Domain, generate_uniform_table
 
@@ -32,6 +32,14 @@ class TestWorkloadSpec:
             WorkloadSpec(m=1, b=1, count=0)
         with pytest.raises(ValueError):
             WorkloadSpec(m=1, b=1, kind="nope")
+
+    def test_b_within_the_parse_limit(self):
+        spec = WorkloadSpec(m=2, b=PREDICATE_LIMIT, count=2, kind="join-pair", seed=4)
+        for plan in generate_workload(spec, [A100, B100]):
+            assert class_params(plan).b == PREDICATE_LIMIT
+            exact_selectivity([A100, B100], plan)
+        with pytest.raises(ValueError, match="b must be at most 100"):
+            WorkloadSpec(m=1, b=PREDICATE_LIMIT + 1)
 
 
 class TestGenerateWorkload:

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_result, make_table
-from selsample.execution import execute_plan
+from conftest import OP_FUNCS, brute_force_result, make_table
+from selsample.execution import _mask, execute_plan
 from selsample.queries import (
+    PREDICATE_LIMIT,
     And,
     ClassParams,
     ColumnRef,
@@ -20,7 +21,6 @@ from selsample.queries import (
     SelectionClause,
     class_params,
     clause_count,
-    eval_predicate,
     leaf_tables,
     parse_query,
     subplans,
@@ -120,41 +120,57 @@ class TestParseErrors:
             parse_query("SELECT * FROM NOPE", CATALOG)
         assert exc.value.position == 14
 
+    def test_clause_and_nesting_limits(self):
+        clauses = " OR ".join(["T.C1 < 5"] * PREDICATE_LIMIT)
+        nested = "(" * PREDICATE_LIMIT + "T.C1 < 5" + ")" * PREDICATE_LIMIT
+        assert clause_count(parse_query(f"SELECT * FROM T WHERE {clauses}", CATALOG).predicate) == 100
+        assert parse_query(f"SELECT * FROM T WHERE {nested}", CATALOG).predicate.constant == 5
+        too_many = [
+            f"SELECT * FROM T WHERE {clauses} AND T.C2 > 1",
+            # A join condition is a clause too.
+            f"SELECT * FROM A, B WHERE A.C1 = B.C1 AND ({clauses.replace('T.', 'A.')})",
+        ]
+        for text in too_many:
+            with pytest.raises(ParseError, match="more than 100 clauses"):
+                parse_query(text, CATALOG)
+        with pytest.raises(ParseError, match="nested more than 100 deep") as exc:
+            parse_query(f"SELECT * FROM T WHERE ({nested})", CATALOG)
+        assert exc.value.position == len("SELECT * FROM T WHERE ") + PREDICATE_LIMIT
+
     def test_constant_outside_domain_warns_not_errors(self):
         with pytest.warns(SchemaWarning, match="outside domain"):
             plan = parse_query("SELECT * FROM T WHERE T.C1 >= 999", CATALOG)
         assert plan.predicate.constant == 999
 
 
+# One column holding 0..5, one value per row.
+VALUES = make_table("V", [(v,) for v in range(6)], num_columns=1)
+
+
 class TestEvalPredicate:
+    """Predicates as the estimators evaluate them: execution._mask, one
+    truth value per row."""
+
     def test_boundary_inclusive(self):
-        assert eval_predicate(SelectionClause("C1", ComparisonOp.GE, 5), (5,), ["C1"])
+        assert _mask(SelectionClause("C1", ComparisonOp.GE, 5), VALUES).tolist() == [False] * 5 + [True]
 
     def test_ne_on_equal_value(self):
-        assert not eval_predicate(SelectionClause("C1", ComparisonOp.NE, 5), (5,), ["C1"])
+        assert _mask(SelectionClause("C1", ComparisonOp.NE, 5), VALUES).tolist() == [True] * 5 + [False]
 
     def test_or_of_and(self):
         expr = Or(
             And(SelectionClause("C1", ComparisonOp.GE, 5), SelectionClause("C2", ComparisonOp.LE, 3)),
             SelectionClause("C1", ComparisonOp.LE, 1),
         )
-        assert eval_predicate(expr, (0, 9), ["C1", "C2"])
+        rows = [(0, 9), (5, 3), (5, 4), (2, 0)]
+        assert _mask(expr, make_table("T", rows, domain=(0, 10))).tolist() == [True, True, False, False]
 
     def test_exhaustive_grid_all_operators(self):
         # Direct-comparison oracle over (value, constant) in [0,5]^2.
-        ops = {
-            ComparisonOp.LT: lambda a, b: a < b,
-            ComparisonOp.GT: lambda a, b: a > b,
-            ComparisonOp.LE: lambda a, b: a <= b,
-            ComparisonOp.GE: lambda a, b: a >= b,
-            ComparisonOp.EQ: lambda a, b: a == b,
-            ComparisonOp.NE: lambda a, b: a != b,
-        }
-        for op, fn in ops.items():
-            for v in range(6):
-                for c in range(6):
-                    clause = SelectionClause("C1", op, c)
-                    assert eval_predicate(clause, (v,), ["C1"]) == fn(v, c)
+        for op, fn in OP_FUNCS.items():
+            for c in range(6):
+                clause = SelectionClause("C1", op, c)
+                assert _mask(clause, VALUES).tolist() == [fn(v, c) for v in range(6)]
 
 
 class TestClassParams:
@@ -262,4 +278,4 @@ class TestJoinCondition:
         for op in ComparisonOp:
             for a in range(3):
                 for b in range(3):
-                    assert op.apply(a, b) == op.flipped().apply(b, a)
+                    assert OP_FUNCS[op](a, b) == OP_FUNCS[op.flipped()](b, a)

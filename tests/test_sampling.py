@@ -216,7 +216,7 @@ class TestManifestErrors:
         assert message.endswith(f"table entry 0 has no {key!r}")
 
     @pytest.mark.parametrize("key", ["size", "seed"])
-    @pytest.mark.parametrize("value", [None, "three", [3], 1e400])
+    @pytest.mark.parametrize("value", [None, "three", [3], 1e400, 500.7, True, False])
     def test_top_level_value_not_an_integer(self, tmp_path, key, value):
         message = self._load(tmp_path, json.dumps(_manifest_with(key, value)))
         assert message.endswith(f"{key!r} is not an integer: {value!r}")

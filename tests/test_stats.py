@@ -25,7 +25,6 @@ from selsample.stats import (
     estimate_clause,
     estimate_join,
     estimate_predicate,
-    load_stats,
 )
 from selsample.tables import ColumnMeta, Domain, Table, generate_uniform_table
 
@@ -277,16 +276,6 @@ class TestEstimateJoin:
 
 
 class TestDumpLoad:
-    def test_round_trip(self, tmp_path):
-        t = make_table("T", [(1, 2), (3, 4), (3, 2), (0, 0)], domain=(0, 10))
-        cat = build_stats(t, buckets=3, mcv=2)
-        path = tmp_path / "stats.txt"
-        dump_stats(cat, path)
-        loaded = load_stats(path)
-        assert loaded.buckets == cat.buckets
-        assert loaded.mcv_capacity == cat.mcv_capacity
-        assert loaded.entries == cat.entries
-
     def test_dump_is_deterministic(self, tmp_path):
         t = make_table("T", [(1, 2), (3, 4)], domain=(0, 10))
         p1 = tmp_path / "a.txt"
@@ -294,13 +283,3 @@ class TestDumpLoad:
         dump_stats(build_stats(t), p1)
         dump_stats(build_stats(t), p2)
         assert p1.read_bytes() == p2.read_bytes()
-
-    def test_estimates_survive_round_trip(self, tmp_path):
-        cat = build_stats(distinct_1_to_100(), buckets=4, mcv=0)
-        path = tmp_path / "stats.txt"
-        dump_stats(cat, path)
-        loaded = load_stats(path)
-        clause = SelectionClause("A", LE, 25)
-        assert estimate_clause(loaded.get("T", "A"), clause) == estimate_clause(
-            cat.get("T", "A"), clause
-        )

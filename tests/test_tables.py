@@ -16,7 +16,6 @@ from selsample.tables import (
     Table,
     generate_correlated_table,
     generate_uniform_table,
-    load_csv,
     read_csv,
     read_int_csv,
     save_csv,
@@ -72,7 +71,7 @@ class TestCsv:
     def test_three_row_identity(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("C1,C2\n1,2\n3,4\n5,6\n")
-        t = load_csv(p, SCHEMA_0_10)
+        t = read_csv(p)
         assert t.row_count == 3
         assert t.rows == [(1, 2), (3, 4), (5, 6)]
         assert t.name == "t"
@@ -80,34 +79,34 @@ class TestCsv:
     def test_header_only_is_empty_table(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("C1,C2\n")
-        assert load_csv(p, SCHEMA_0_10).row_count == 0
+        assert read_csv(p, domain=Domain(0, 10)).row_count == 0
 
     def test_out_of_domain_names_row_and_column(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("C1,C2\n11,2\n")
         with pytest.raises(CsvFormatError, match=r"row 1, column C1"):
-            load_csv(p, SCHEMA_0_10)
+            read_csv(p, domain=Domain(0, 10))
 
     def test_non_integer_cell(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("C1,C2\n1,x\n")
         with pytest.raises(CsvFormatError, match=r"row 1, column C2"):
-            load_csv(p, SCHEMA_0_10)
+            read_csv(p)
 
     def test_header_mismatch(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("C1,WRONG\n1,2\n")
         with pytest.raises(CsvFormatError, match="header mismatch"):
-            load_csv(p, SCHEMA_0_10)
+            read_int_csv(p, ["C1", "C2"])
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            load_csv(tmp_path / "nope.csv", SCHEMA_0_10)
+            read_csv(tmp_path / "nope.csv")
 
     def test_round_trip_is_byte_identical(self, tmp_path):
         src = tmp_path / "src.csv"
         src.write_text("C1,C2\n1,2\n3,4\n")
-        t = load_csv(src, SCHEMA_0_10)
+        t = read_csv(src)
         dst = tmp_path / "dst.csv"
         save_csv(t, dst)
         assert dst.read_bytes() == src.read_bytes()
@@ -133,12 +132,11 @@ class TestCsv:
             read_csv(p, domain=Domain(0, 10))
         assert str(exc.value) == f"{p}: row 2, column C2: value 40 outside domain [0, 10]"
 
-    @pytest.mark.parametrize("reader", ["read_csv", "load_csv"])
-    def test_invalid_table_name_names_the_file(self, tmp_path, reader):
+    def test_invalid_table_name_names_the_file(self, tmp_path):
         p = tmp_path / "my-table.csv"
         p.write_text("C1,C2\n1,2\n")
         with pytest.raises(CsvFormatError) as exc:
-            read_csv(p) if reader == "read_csv" else load_csv(p, SCHEMA_0_10)
+            read_csv(p)
         assert str(exc.value) == f"{p}: invalid table name: 'my-table'"
 
     @pytest.mark.parametrize("cell", ["36893488147419103232", "9223372036854775808", "-9223372036854775809"])
@@ -147,8 +145,8 @@ class TestCsv:
         p.write_text(f"C1,C2\n1,2\n3,{cell}\n")
         with pytest.raises(CsvFormatError, match=r"row 2, column C2: value .* 64-bit"):
             read_csv(p)
-        with pytest.raises(CsvFormatError, match=r"row 2, column C2"):
-            load_csv(p, SCHEMA_0_10)
+        with pytest.raises(CsvFormatError, match=r"row 2, column C2: value .* 64-bit"):
+            read_csv(p, domain=Domain(0, 10))
 
     def test_int64_extremes_and_leading_zeros_load(self, tmp_path):
         p = tmp_path / "t.csv"
@@ -248,7 +246,7 @@ class TestReaderRoundTrip:
             p = tmp_path / f"t{trial}.csv"
             save_csv(t, p)
             assert np.array_equal(read_csv(p).matrix(), m)
-            assert np.array_equal(load_csv(p, t.columns).matrix(), m)
+            assert np.array_equal(read_int_csv(p, names)[1], m)
             assert read_csv(p).rows == [tuple(r) for r in m.tolist()]
 
     def test_save_formats_cells_as_python_str(self, tmp_path):
@@ -260,8 +258,8 @@ class TestReaderRoundTrip:
 
 
 # One malformed cell per case, after a valid row: the cell, then the exact
-# message of read_csv (None: the cell is valid there) and of load_csv under
-# SCHEMA_0_10. The empty line checks that a blank line counts as a row.
+# message of read_csv (None: the cell is valid there) and of read_csv under
+# the domain [0, 10]. The empty line checks that a blank line counts as a row.
 _MALFORMED = [
     ("1,2,3", "row 2: 3 cells, expected 2", "row 2: 3 cells, expected 2"),
     ("1,", "row 2, column C2: not an integer: ''", "row 2, column C2: not an integer: ''"),
@@ -273,20 +271,20 @@ _MALFORMED = [
     (
         "1,36893488147419103232",
         "row 2, column C2: value 36893488147419103232 outside the 64-bit integer range",
-        "row 2, column C2: value 36893488147419103232 outside domain [0, 10]",
+        "row 2, column C2: value 36893488147419103232 outside the 64-bit integer range",
     ),
     (
         "-09223372036854775809,1",
         "row 2, column C1: value -09223372036854775809 outside the 64-bit integer range",
-        "row 2, column C1: value -9223372036854775809 outside domain [0, 10]",
+        "row 2, column C1: value -09223372036854775809 outside the 64-bit integer range",
     ),
     ("3,11", None, "row 2, column C2: value 11 outside domain [0, 10]"),
 ]
 
 
 class TestReaderMessages:
-    @pytest.mark.parametrize("line,read_msg,load_msg", _MALFORMED)
-    def test_exact_message(self, tmp_path, line, read_msg, load_msg):
+    @pytest.mark.parametrize("line,read_msg,domain_msg", _MALFORMED)
+    def test_exact_message(self, tmp_path, line, read_msg, domain_msg):
         p = tmp_path / "t.csv"
         p.write_text(f"C1,C2\n1,2\n{line}\n3,4\n")
         if read_msg is not None:
@@ -294,8 +292,8 @@ class TestReaderMessages:
                 read_csv(p)
             assert str(exc.value) == f"{p}: {read_msg}"
         with pytest.raises(CsvFormatError) as exc:
-            load_csv(p, SCHEMA_0_10)
-        assert str(exc.value) == f"{p}: {load_msg}"
+            read_csv(p, domain=Domain(0, 10))
+        assert str(exc.value) == f"{p}: {domain_msg}"
 
     def test_error_after_many_valid_rows(self, tmp_path):
         p = tmp_path / "t.csv"
@@ -305,16 +303,11 @@ class TestReaderMessages:
         assert str(exc.value) == f"{p}: row 1001, column C2: not an integer: '+4'"
 
     def test_first_error_in_file_order(self, tmp_path):
-        # load_csv checks each cell's domain as it reads it: an earlier
-        # out-of-domain cell wins over a later malformed one.
+        # A malformed row wins over a later out-of-domain cell.
         p = tmp_path / "t.csv"
-        p.write_text("C1,C2\n11,x\n1,2,3\n")
-        with pytest.raises(CsvFormatError) as exc:
-            load_csv(p, SCHEMA_0_10)
-        assert str(exc.value) == f"{p}: row 1, column C1: value 11 outside domain [0, 10]"
         p.write_text("C1,C2\n1,2\n1,2,3\n11,1\n")
         with pytest.raises(CsvFormatError) as exc:
-            load_csv(p, SCHEMA_0_10)
+            read_csv(p, domain=Domain(0, 10))
         assert str(exc.value) == f"{p}: row 2: 3 cells, expected 2"
 
     def test_every_row_of_the_wrong_width(self, tmp_path):
@@ -367,17 +360,16 @@ class TestReaderRoutes:
         k, cell, end, final = _VALID_FILES[case]
         rng = np.random.default_rng(len(case) * 10 + k)
         names = [f"C{j + 1}" for j in range(k)]
-        int64 = [Domain(INT64_MIN, INT64_MAX)] * k
         p = tmp_path / "t.csv"
         for n in (1, 2, 7, 300):
             cells = [[cell(rng) for _ in range(k)] for _ in range(n)]
             text = end.join([",".join(names), *(",".join(row) for row in cells)])
             p.write_bytes((text + (end if final else "")).encode())
             want = np.array([[int(c) for c in row] for row in cells], dtype=np.int64)
-            for columns, domains in [(None, None), (names, int64)]:
-                whole = tables._read_whole(p, columns, domains)
+            for columns in (None, names):
+                whole = tables._read_whole(p, columns)
                 assert whole is not None
-                rows = tables._read_rows(p, p.read_text(), columns, domains)
+                rows = tables._read_rows(p, p.read_text(), columns)
                 assert whole[0] == rows[0] == names
                 assert whole[1].shape == rows[1].shape == (n, k)
                 assert np.array_equal(whole[1], rows[1]) and np.array_equal(whole[1], want)
@@ -402,7 +394,7 @@ class TestReaderRoutes:
         t = generate_uniform_table("t", 500, 3, Domain(-50, 10**12), seed=4)
         save_csv(t, tmp_path / "t.csv")
         assert np.array_equal(read_csv(tmp_path / "t.csv").matrix(), t.matrix())
-        assert load_csv(tmp_path / "t.csv", t.columns) == t
+        assert read_csv(tmp_path / "t.csv", domain=Domain(-50, 10**12)) == t
         sdb = create_sample(200, [t, generate_uniform_table("u", 30, 1, Domain(0, 9), seed=5)], seed=9)
         loaded = load_sample(save_sample(sdb, tmp_path / "s"))
         for st in sdb.tables:
@@ -417,8 +409,6 @@ class TestReaderRoutes:
         names, m = read_int_csv(tmp_path / f"t.csv{suffix}")
         want_names, want = read_int_csv(tmp_path / "t.csv")
         assert names == want_names and np.array_equal(m, want)
-        schema = [ColumnMeta("C1", Domain(-5, 50)), ColumnMeta("C2", Domain(-5, 50))]
-        assert load_csv(tmp_path / f"t.csv{suffix}", schema, name="t").rows == [(1, 2), (-3, 40)]
 
     @pytest.mark.parametrize("same_size", [False, True], ids=["longer", "same size"])
     def test_file_rewritten_during_the_parse(self, tmp_path, monkeypatch, same_size):
@@ -470,7 +460,7 @@ class TestReaderRoutes:
         p.write_bytes(("C1,C2\n" + body).encode())
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert tables._read_whole(p, None, None) is None
+            assert tables._read_whole(p, None) is None
 
 
 class TestImmutable:
@@ -520,7 +510,7 @@ class TestImmutable:
             (Table("T", SCHEMA_0_10, np.array(rows, order="C")), rows),
             (Table("T", SCHEMA_0_10, np.array(rows, order="F")), rows),
             (read_csv(tmp_path / "T.csv"), rows),
-            (load_csv(tmp_path / "T.csv", SCHEMA_0_10), rows),
+            (read_csv(tmp_path / "T.csv", domain=Domain(0, 10)), rows),
             (uniform, uniform_rows),
             (correlated, correlated_rows),
             *zip(sdb.tables, sample_rows),

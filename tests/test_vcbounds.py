@@ -221,6 +221,40 @@ class TestSampleSizeEps:
             SampleSizeSpec(epsilon=0.05, delta=0.05, d=1, c=0.0)
 
 
+@pytest.mark.parametrize(
+    "formula",
+    [
+        lambda: bound_select_single(10**320),
+        lambda: bound_boolean_combination(10**320, 1),
+        lambda: bound_select_boolean(1, 10**320),
+        lambda: bound_join_pair(2, 10**320),
+        lambda: bound_multi_join(2, [2, 10**320]),
+        lambda: bound_general(10**320, 1, 1),
+        lambda: bound_general(10**160, 1, 1),  # finite inputs, infinite bound
+        lambda: sample_size_eps(SampleSizeSpec(epsilon=1e-200, delta=0.05, d=1)),
+        lambda: sample_size_eps(SampleSizeSpec(epsilon=0.05, delta=0.05, d=1, c=1e308)),
+        lambda: sample_size_eps(SampleSizeSpec(epsilon=0.05, delta=0.05, d=10**320)),
+        lambda: sample_size_rel(SampleSizeSpec(epsilon=1e-10, delta=0.05, d=1, p=1e-300)),
+    ],
+    ids=[
+        "select_single",
+        "boolean_combination",
+        "select_boolean",
+        "join_pair",
+        "multi_join",
+        "general",
+        "general infinite",
+        "eps epsilon squared is 0",
+        "eps c is huge",
+        "eps d beyond a float",
+        "rel p times epsilon squared is 0",
+    ],
+)
+def test_value_beyond_float_range_raises_value_error(formula):
+    with pytest.raises(ValueError, match="beyond the range of a float"):
+        formula()
+
+
 class TestSampleSizeRel:
     def test_hand_arithmetic_value(self):
         # ceil(400 * (2*ln 2 + ln 20)) = ceil(400 * 4.38176...) = 1753
