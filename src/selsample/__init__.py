@@ -13,7 +13,6 @@ from .execution import (
     ResultSet,
     estimate_all_nodes,
     estimate_indexed,
-    estimate_practitioner,
     exact_cardinality,
     exact_selectivity,
     execute_plan,
@@ -42,7 +41,6 @@ from .queries import (
     leaf_tables,
     parse_query,
     subplans,
-    to_sql,
 )
 from .sampling import SampleDatabase, SampleTable, create_sample, load_sample, save_sample
 from .stats import (

@@ -2,7 +2,8 @@
 
 Subcommands: gen-data, build-sample, build-stats, bounds, sample-size,
 estimate, experiment. Every command is deterministic for fixed flags and
-seeds. Exit code 0 on success, 2 on validation errors.
+seeds. Exit code 0 on success, 2 on validation errors and on allocations
+that do not fit in memory.
 """
 
 from __future__ import annotations
@@ -229,7 +230,10 @@ def _add_dimension_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--log-base", type=float, default=2.0, help="logarithm base for bound formulas")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args returns a
+    new namespace on every call and leaves the parser as it was."""
     parser = argparse.ArgumentParser(
         prog="selsample",
         description="Selectivity estimation via VC-bound-sized, index-aligned samples",
@@ -324,18 +328,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """build_parser's parser, built once per process: parse_args returns a
-    new namespace on every call and leaves the parser as it was."""
-    return build_parser()
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, LookupError, OSError) as exc:
+    except (ValueError, LookupError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -67,7 +67,7 @@ from .queries import (
     subplans,
 )
 from .sampling import SampleDatabase
-from .tables import Domain, Table
+from .tables import _INT64_MAX, _INT64_MIN, Domain, Table
 
 __all__ = [
     "ResultSet",
@@ -76,7 +76,6 @@ __all__ = [
     "exact_selectivity",
     "exact_cardinality",
     "estimate_indexed",
-    "estimate_practitioner",
     "estimate_all_nodes",
 ]
 
@@ -88,7 +87,6 @@ Database = Union[Sequence[Table], SampleDatabase]
 # which also take a running total over them.
 _DENSE_SLOTS_PER_ROW = 4
 _DENSE_SLOTS_PER_ROW_EQ = 16
-_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 _NP_OPS = {
     ComparisonOp.LT: np.less,
@@ -123,7 +121,6 @@ class EstimateRecord:
     s: int
     seed: int
     exact: float | None = None
-    cardinality_exact: int | None = None
 
 
 def _frames(db: Database, plan: QueryPlan) -> dict[str, Table]:
@@ -412,12 +409,6 @@ def estimate_indexed(sampledb: SampleDatabase, plan: QueryPlan) -> float:
     return _Counter(_frames(sampledb, plan)).aligned_count(plan) / sampledb.size
 
 
-def estimate_practitioner(sampledb: SampleDatabase, plan: QueryPlan) -> float:
-    """Plain sample estimate: all result rows divided by s^l, ignoring sampleindex."""
-    count = _Counter(_frames(sampledb, plan)).count(plan)
-    return count / sampledb.size ** len(leaf_tables(plan))
-
-
 def estimate_all_nodes(
     sampledb: SampleDatabase, plan: QueryPlan, db: Database | None = None
 ) -> list[EstimateRecord]:
@@ -425,7 +416,7 @@ def estimate_all_nodes(
 
     The subplans share their leaves' predicate masks and the aligned masks of
     their children. When `db` is given, each record also carries the exact
-    selectivity and cardinality computed against it.
+    selectivity computed against it.
     """
     sample = _Counter(_frames(sampledb, plan))
     exact = None if db is None else _Counter(_frames(db, plan))
@@ -441,7 +432,6 @@ def estimate_all_nodes(
             seed=sampledb.seed,
         )
         if exact is not None:
-            rec.cardinality_exact = exact.count(node)
-            rec.exact = rec.cardinality_exact / _denominator(node, exact.frames)
+            rec.exact = exact.count(node) / _denominator(node, exact.frames)
         records.append(rec)
     return records

@@ -47,7 +47,6 @@ __all__ = [
     "class_params",
     "subplans",
     "leaf_tables",
-    "to_sql",
 ]
 
 
@@ -236,62 +235,6 @@ def class_params(plan: QueryPlan, *, effective_b: bool = False) -> ClassParams:
 
 
 # ---------------------------------------------------------------------------
-# Canonical rendering
-# ---------------------------------------------------------------------------
-
-
-def _expr_sql(expr: BoolExpr, table: str) -> str:
-    if isinstance(expr, SelectionClause):
-        return f"{table}.{expr.column} {expr.op.value} {expr.constant}"
-    if isinstance(expr, And):
-        ls = _expr_sql(expr.left, table)
-        rs = _expr_sql(expr.right, table)
-        if isinstance(expr.left, Or):
-            ls = f"({ls})"
-        if isinstance(expr.right, (And, Or)):
-            rs = f"({rs})"
-        return f"{ls} AND {rs}"
-    ls = _expr_sql(expr.left, table)
-    rs = _expr_sql(expr.right, table)
-    if isinstance(expr.right, Or):
-        rs = f"({rs})"
-    return f"{ls} OR {rs}"
-
-
-def _join_conditions(plan: QueryPlan) -> list[JoinCondition]:
-    return [n.condition for n in subplans(plan) if isinstance(n, JoinNode)]
-
-
-def to_sql(plan: QueryPlan) -> str:
-    """Render a plan in the canonical surface syntax.
-
-    Join conditions are emitted bottom-up so that re-parsing rebuilds the same
-    left-deep chain; re-parsing the output of a parsed query yields a
-    structurally identical plan.
-    """
-    tables = leaf_tables(plan)
-    leaves = [n for n in subplans(plan) if isinstance(n, SelectLeaf)]
-    conjuncts = [
-        f"{c.left.table}.{c.left.column} {c.op.value} {c.right.table}.{c.right.column}"
-        for c in _join_conditions(plan)
-    ]
-    predicates = [
-        (leaf, _expr_sql(leaf.predicate, leaf.table))
-        for leaf in leaves
-        if leaf.predicate is not None
-    ]
-    multi = len(conjuncts) + len(predicates) > 1
-    for leaf, text in predicates:
-        if multi and isinstance(leaf.predicate, Or):
-            text = f"({text})"
-        conjuncts.append(text)
-    sql = "SELECT * FROM " + ", ".join(tables)
-    if conjuncts:
-        sql += " WHERE " + " AND ".join(conjuncts)
-    return sql
-
-
-# ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
 
@@ -364,6 +307,7 @@ class _Parser:
         self.from_tables: list[str] = []
         self.clauses = 0
         self.depth = 0
+        self.warnings: list[str] = []  # SchemaWarning messages, in clause order
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -461,11 +405,9 @@ class _Parser:
             value = int(rhs.text)
             domain = self.catalog[t1].column(c1).domain
             if value not in domain:
-                warnings.warn(
+                self.warnings.append(
                     f"constant {value} outside domain [{domain.lo}, {domain.hi}] "
-                    f"of column {t1}.{c1}",
-                    SchemaWarning,
-                    stacklevel=4,
+                    f"of column {t1}.{c1}"
                 )
             return _SelAtom(t1, SelectionClause(c1, op, value), pos)
         if rhs.kind == "ident":
@@ -567,4 +509,12 @@ def parse_query(text: str, schema: Mapping[str, Table] | Sequence[Table]) -> Que
         catalog = dict(schema)
     else:
         catalog = {t.name: t for t in schema}
-    return _Parser(text, catalog).parse()
+    parser = _Parser(text, catalog)
+    try:
+        return parser.parse()
+    finally:
+        # Warned from here rather than from the clause, whose depth in the
+        # parser varies with the nesting, so that each warning points at
+        # the caller; a parse that then fails still warns.
+        for message in parser.warnings:
+            warnings.warn(message, SchemaWarning, stacklevel=2)

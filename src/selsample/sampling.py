@@ -65,16 +65,6 @@ class SampleDatabase:
         self.size = size
         self.seed = seed
         self.tables = tables
-        self._by_base = dict(zip(names, tables))
-
-    def __contains__(self, base: str) -> bool:
-        return base in self._by_base
-
-    def table(self, base: str) -> SampleTable:
-        try:
-            return self._by_base[base]
-        except KeyError:
-            raise LookupError(f"no sample for base table {base!r}") from None
 
 
 def create_sample(s: int, tables: Sequence[Table], seed: int) -> SampleDatabase:

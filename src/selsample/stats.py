@@ -150,9 +150,6 @@ class StatsCatalog:
         except KeyError:
             raise MissingStatsError(f"no statistics for {table}.{column}") from None
 
-    def __contains__(self, key: tuple[str, str]) -> bool:
-        return key in self.entries
-
     def update(self, other: "StatsCatalog") -> None:
         self.entries.update(other.entries)
 

@@ -133,7 +133,7 @@ def bound_boolean_combination(
     if h < 1:
         raise ValueError("combination size h must be at least 1")
     dh = d * h
-    value = float(d) if dh == 1 else 3.0 * dh * _log(dh, log_base)
+    value = 3.0 * dh * _log(dh, log_base)
     return VcBoundReport(value, "boolean_combination", log_base, {"d": d, "h": h})
 
 

@@ -50,6 +50,11 @@ OP_FUNCS = {
 }
 
 
+def sample_table(sampledb: SampleDatabase, name: str) -> Table:
+    """The sample table drawn from the base table `name`."""
+    return {t.name: t for t in sampledb.tables}[name]
+
+
 def make_table(name: str, rows, domain=(0, 5), num_columns: int = 2) -> Table:
     cols = [ColumnMeta(f"C{j + 1}", Domain(*domain)) for j in range(num_columns)]
     return Table(name, cols, rows)
@@ -157,3 +162,59 @@ def aligned_oracle_selectivity(sampledb: SampleDatabase, plan: QueryPlan) -> flo
         if _combo_satisfies(plan, {name: r[i] for name, r in rows.items()}, columns):
             count += 1
     return count / sampledb.size
+
+
+# ---------------------------------------------------------------------------
+# Canonical rendering, which the parser's round-trip tests read back
+# ---------------------------------------------------------------------------
+
+
+def _expr_sql(expr, table: str) -> str:
+    if isinstance(expr, SelectionClause):
+        return f"{table}.{expr.column} {expr.op.value} {expr.constant}"
+    if isinstance(expr, And):
+        ls = _expr_sql(expr.left, table)
+        rs = _expr_sql(expr.right, table)
+        if isinstance(expr.left, Or):
+            ls = f"({ls})"
+        if isinstance(expr.right, (And, Or)):
+            rs = f"({rs})"
+        return f"{ls} AND {rs}"
+    ls = _expr_sql(expr.left, table)
+    rs = _expr_sql(expr.right, table)
+    if isinstance(expr.right, Or):
+        rs = f"({rs})"
+    return f"{ls} OR {rs}"
+
+
+def _join_conditions(plan: QueryPlan) -> list[JoinCondition]:
+    return [n.condition for n in subplans(plan) if isinstance(n, JoinNode)]
+
+
+def to_sql(plan: QueryPlan) -> str:
+    """Render a plan in the canonical surface syntax.
+
+    Join conditions are emitted bottom-up so that re-parsing rebuilds the same
+    left-deep chain; re-parsing the output of a parsed query yields a
+    structurally identical plan.
+    """
+    tables = leaf_tables(plan)
+    leaves = [n for n in subplans(plan) if isinstance(n, SelectLeaf)]
+    conjuncts = [
+        f"{c.left.table}.{c.left.column} {c.op.value} {c.right.table}.{c.right.column}"
+        for c in _join_conditions(plan)
+    ]
+    predicates = [
+        (leaf, _expr_sql(leaf.predicate, leaf.table))
+        for leaf in leaves
+        if leaf.predicate is not None
+    ]
+    multi = len(conjuncts) + len(predicates) > 1
+    for leaf, text in predicates:
+        if multi and isinstance(leaf.predicate, Or):
+            text = f"({text})"
+        conjuncts.append(text)
+    sql = "SELECT * FROM " + ", ".join(tables)
+    if conjuncts:
+        sql += " WHERE " + " AND ".join(conjuncts)
+    return sql

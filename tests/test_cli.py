@@ -1,9 +1,11 @@
 """End-to-end CLI flows: every command, determinism, and exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from selsample import cli
 from selsample.cli import main
 from selsample.queries import SchemaWarning
 from selsample.sampling import load_sample
@@ -97,6 +99,16 @@ class TestBuildSample:
 
     def test_needs_size_or_auto(self, tmp_path, uniform_csv):
         assert run(["build-sample", "--table", str(uniform_csv), "--out", str(tmp_path / "s")]) == 2
+
+    def test_allocation_beyond_memory_exits_2(self, tmp_path, uniform_csv, capsys, monkeypatch):
+        def create_sample(s, tables, seed):
+            raise MemoryError(f"Unable to allocate {s * 8 / 2**30:.1f} GiB for an array")
+
+        monkeypatch.setattr(cli, "create_sample", create_sample)
+        argv = ["build-sample", "--table", str(uniform_csv), "--size", "10000000000",
+                "--out", str(tmp_path / "s")]
+        assert run(argv) == 2
+        assert_one_error_line(capsys)
 
 
 class TestBuildStats:
@@ -196,6 +208,15 @@ class TestEstimate:
         argv = ["estimate", "--query", f"SELECT * FROM t WHERE {where}", "--sample", str(sample_dir / "manifest.json")]
         assert run(argv) == 2
         assert_one_error_line(capsys)
+
+    def test_schema_warning_points_at_the_command(self, tmp_path, uniform_csv, capsys):
+        sample_dir = tmp_path / "sample"
+        run(["build-sample", "--table", str(uniform_csv), "--size", "64", "--out", str(sample_dir)])
+        argv = ["estimate", "--query", "SELECT * FROM t WHERE t.C1 < -5",
+                "--sample", str(sample_dir / "manifest.json")]
+        with pytest.warns(SchemaWarning) as caught:
+            assert run(argv) == 0
+        assert [Path(w.filename).name for w in caught] == ["cli.py"]
 
     def test_stdout_csv(self, tmp_path, uniform_csv, capsys):
         sample_dir = tmp_path / "sample"

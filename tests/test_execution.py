@@ -16,7 +16,6 @@ from conftest import (
 from selsample.execution import (
     estimate_all_nodes,
     estimate_indexed,
-    estimate_practitioner,
     exact_cardinality,
     exact_selectivity,
     execute_plan,
@@ -174,7 +173,8 @@ class TestEstimators:
 
     def test_practitioner_on_worked_instance(self):
         # Two matching pairs among all 3x3 sample pairs.
-        assert estimate_practitioner(spec_sample_pair(), join_plan()) == pytest.approx(2 / 9)
+        records = estimate_all_nodes(spec_sample_pair(), join_plan())
+        assert records[-1].est_practitioner == pytest.approx(2 / 9)
 
     def test_single_table_true_is_one(self):
         t = make_table("T", [(0, 0), (1, 1)])
@@ -185,7 +185,7 @@ class TestEstimators:
         t = make_table("T", [(0, 0), (1, 1), (2, 2)])
         sdb = create_sample(7, [t], seed=3)
         plan = SelectLeaf("T", SelectionClause("C1", GE, 1))
-        assert estimate_indexed(sdb, plan) == estimate_practitioner(sdb, plan)
+        assert estimate_indexed(sdb, plan) == estimate_all_nodes(sdb, plan)[-1].est_practitioner
 
     def test_unaligned_matches_count_zero(self):
         # Matches exist but never on the same index: indexed 0, practitioner > 0.
@@ -193,7 +193,7 @@ class TestEstimators:
         s2 = SampleTable("B", ONE_COLUMN, [(2,), (1,)])
         sdb = SampleDatabase(2, 0, [s1, s2])
         assert estimate_indexed(sdb, join_plan()) == 0.0
-        assert estimate_practitioner(sdb, join_plan()) == pytest.approx(2 / 4)
+        assert estimate_all_nodes(sdb, join_plan())[-1].est_practitioner == pytest.approx(2 / 4)
 
     def test_unused_sample_tables_are_ignored(self):
         a = make_table("A", [(0, 0), (1, 1)])
@@ -242,7 +242,7 @@ class TestEpsilonGuarantee:
         sdb = create_sample(3, [a, b], seed=1)
         plan = join_plan(EQ)  # 0 never equals 5
         assert estimate_indexed(sdb, plan) == 0.0
-        assert estimate_practitioner(sdb, plan) == 0.0
+        assert estimate_all_nodes(sdb, plan)[-1].est_practitioner == 0.0
 
 
 class TestEstimateAllNodes:
@@ -276,7 +276,6 @@ class TestEstimateAllNodes:
 
         for rec, node in zip(records, subplans(plan)):
             assert rec.exact == exact_selectivity([a, b], node)
-            assert rec.cardinality_exact == exact_cardinality([a, b], node)
 
     def test_leaves_no_reference_cycle(self):
         # Garbage in a cycle lives until a full collection; an estimate must
@@ -298,7 +297,7 @@ class TestEstimateAllNodes:
         a = make_table("A", [(1, 0)])
         sdb = create_sample(2, [a], seed=1)
         (rec,) = estimate_all_nodes(sdb, SelectLeaf("A", None))
-        assert rec.exact is None and rec.cardinality_exact is None
+        assert rec.exact is None
 
 
 class TestParsedPlansEndToEnd:

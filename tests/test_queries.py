@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import OP_FUNCS, brute_force_result, make_table
+from conftest import OP_FUNCS, brute_force_result, make_table, to_sql
 from selsample.execution import _mask, execute_plan
 from selsample.queries import (
     PREDICATE_LIMIT,
@@ -24,7 +24,6 @@ from selsample.queries import (
     leaf_tables,
     parse_query,
     subplans,
-    to_sql,
 )
 
 T = make_table("T", [(1, 2), (5, 3), (0, 9), (5, 5)], domain=(0, 10))
@@ -141,6 +140,25 @@ class TestParseErrors:
         with pytest.warns(SchemaWarning, match="outside domain"):
             plan = parse_query("SELECT * FROM T WHERE T.C1 >= 999", CATALOG)
         assert plan.predicate.constant == 999
+
+    @pytest.mark.parametrize(
+        "where, warned",
+        [("T.C1 >= 999", 1), ("((T.C2 < 3 OR (T.C1 >= 999 AND T.C2 > -1)))", 2)],
+        ids=["plain", "parenthesised"],
+    )
+    def test_warning_points_at_the_caller(self, where, warned):
+        with pytest.warns(SchemaWarning) as caught:
+            parse_query(f"SELECT * FROM T WHERE {where}", CATALOG)
+        assert [w.filename for w in caught] == [__file__] * warned
+
+    def test_warnings_come_in_clause_order_even_when_the_parse_fails(self):
+        with pytest.warns(SchemaWarning) as caught, pytest.raises(ParseError):
+            parse_query("SELECT * FROM T WHERE T.C1 > 11 OR T.C2 < -3 AND", CATALOG)
+        assert [str(w.message) for w in caught] == [
+            "constant 11 outside domain [0, 10] of column T.C1",
+            "constant -3 outside domain [0, 10] of column T.C2",
+        ]
+        assert {w.filename for w in caught} == {__file__}
 
 
 # One column holding 0..5, one value per row.

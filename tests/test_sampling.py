@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_table
+from conftest import make_table, sample_table
 from selsample import sampling
 from selsample.execution import estimate_all_nodes
 from selsample.queries import parse_query
@@ -22,7 +22,7 @@ class TestCreateSample:
     def test_single_row_table_repeats(self):
         t = make_table("T", [(3, 4)])
         sdb = create_sample(3, [t], seed=1)
-        st = sdb.table("T")
+        st = sample_table(sdb, "T")
         assert st.rows == [(3, 4), (3, 4), (3, 4)]
         assert sorted(st.indexes) == [1, 2, 3]
 
@@ -38,21 +38,21 @@ class TestCreateSample:
         t = make_table("T", [(0, 1), (2, 3), (4, 5)])
         sdb = create_sample(64, [t], seed=9)
         base = set(t.rows)
-        assert all(row in base for row in sdb.table("T").rows)
+        assert all(row in base for row in sample_table(sdb, "T").rows)
 
     def test_deterministic(self):
         t = make_table("T", [(0, 1), (2, 3), (4, 5)])
         a = create_sample(20, [t], seed=5)
         b = create_sample(20, [t], seed=5)
-        assert a.table("T").rows == b.table("T").rows
-        assert create_sample(20, [t], seed=6).table("T").rows != a.table("T").rows
+        assert sample_table(a, "T").rows == sample_table(b, "T").rows
+        assert sample_table(create_sample(20, [t], seed=6), "T").rows != sample_table(a, "T").rows
 
     def test_appending_a_table_keeps_earlier_draws(self):
         a = make_table("A", [(i, i) for i in range(10)], domain=(0, 10))
         b = make_table("B", [(i, 0) for i in range(7)], domain=(0, 10))
         solo = create_sample(25, [a], seed=3)
         both = create_sample(25, [a, b], seed=3)
-        assert solo.table("A").rows == both.table("A").rows
+        assert sample_table(solo, "A").rows == sample_table(both, "A").rows
 
     def test_binomial_fraction(self):
         # Half the base rows carry value 1; sampled fraction of 1s at s=10^4
@@ -60,7 +60,7 @@ class TestCreateSample:
         rows = [(1, 0)] * 500 + [(0, 0)] * 500
         t = make_table("T", rows, domain=(0, 1))
         sdb = create_sample(10_000, [t], seed=42)
-        frac = sum(r[0] for r in sdb.table("T").rows) / 10_000
+        frac = sum(r[0] for r in sample_table(sdb, "T").rows) / 10_000
         assert abs(frac - 0.5) <= 0.02
 
     def test_uniformity_over_seeds(self):
@@ -72,7 +72,7 @@ class TestCreateSample:
         s = 100
         for seed in seeds:
             sdb = create_sample(s, [t], seed=seed)
-            for row in sdb.table("T").rows:
+            for row in sample_table(sdb, "T").rows:
                 counts[row[0]] += 1
         total = s * len(seeds)
         expected = total / 10
@@ -143,21 +143,15 @@ class TestPersistence:
 class TestSampleDatabase:
     def test_duplicate_base_rejected(self):
         t = make_table("T", [(0, 0)])
-        st = create_sample(2, [t], seed=1).table("T")
+        st = sample_table(create_sample(2, [t], seed=1), "T")
         with pytest.raises(ValueError, match="distinct"):
             SampleDatabase(2, 1, [st, st])
 
     def test_size_mismatch_rejected(self):
-        a = create_sample(2, [make_table("A", [(0, 0)])], seed=1).table("A")
-        b = create_sample(3, [make_table("B", [(0, 0)])], seed=1).table("B")
+        a = sample_table(create_sample(2, [make_table("A", [(0, 0)])], seed=1), "A")
+        b = sample_table(create_sample(3, [make_table("B", [(0, 0)])], seed=1), "B")
         with pytest.raises(ValueError, match="rows"):
             SampleDatabase(2, 1, [a, b])
-
-    def test_lookup(self):
-        sdb = create_sample(2, [make_table("T", [(0, 0)])], seed=1)
-        assert "T" in sdb
-        with pytest.raises(LookupError):
-            sdb.table("X")
 
 
 def _write_sample(d, body: str, size: int = 3, columns=("C1", "C2")):
@@ -268,7 +262,7 @@ class TestManifestErrors:
         manifest.write_text(json.dumps({**_good_manifest(), "size": "3", "seed": 7.0}))
         sdb = load_sample(manifest)
         assert (sdb.size, sdb.seed) == (3, 7)
-        assert sdb.table("t").rows == [(1, 2), (3, 4), (5, 6)]
+        assert sample_table(sdb, "t").rows == [(1, 2), (3, 4), (5, 6)]
 
 
 class TestSampleReader:
@@ -331,8 +325,8 @@ class TestSampleReader:
         cols = [ColumnMeta(f"C{j + 1}", Domain(lo, hi)) for j in range(k)]
         sdb = create_sample(300, [Table("T", cols, m)], seed=n)
         loaded = load_sample(save_sample(sdb, tmp_path / "s"))
-        assert np.array_equal(loaded.table("T").matrix(), sdb.table("T").matrix())
-        assert loaded.table("T").indexes == range(1, 301)
+        assert np.array_equal(sample_table(loaded, "T").matrix(), sample_table(sdb, "T").matrix())
+        assert sample_table(loaded, "T").indexes == range(1, 301)
 
     def test_shuffled_file_loads_in_sampleindex_order(self, tmp_path):
         rng = np.random.default_rng(17)
@@ -347,22 +341,22 @@ class TestSampleReader:
             path.write_text("\n".join([header, *shuffled]) + "\n")
         loaded = load_sample(manifest)
         for name in ("A", "B"):
-            assert loaded.table(name).rows == sdb.table(name).rows
-            assert loaded.table(name).indexes == range(1, 51)
+            assert sample_table(loaded, name).rows == sample_table(sdb, name).rows
+            assert sample_table(loaded, name).indexes == range(1, 51)
         plan = parse_query("SELECT * FROM A, B WHERE A.C1 < B.C2 AND A.C2 >= 2 AND B.C1 <> 3", [a, b])
         assert estimate_all_nodes(loaded, plan, db=[a, b]) == estimate_all_nodes(sdb, plan, db=[a, b])
 
 
 class TestSampleStorage:
     def test_stored_in_sampleindex_order(self, tmp_path):
-        st = load_sample(_write_sample(tmp_path, "2,20,5\n3,30,4\n1,10,6\n")).table("t")
+        st = sample_table(load_sample(_write_sample(tmp_path, "2,20,5\n3,30,4\n1,10,6\n")), "t")
         assert st.rows == [(10, 6), (20, 5), (30, 4)]
         assert st.indexes == range(1, 4)
         assert st.matrix().tolist() == [[10, 6], [20, 5], [30, 4]]
         assert st.columns == (ColumnMeta("C1", Domain(10, 30)), ColumnMeta("C2", Domain(4, 6)))
 
     def test_read_only(self):
-        st = create_sample(4, [make_table("T", [(1, 2), (3, 4)])], seed=1).table("T")
+        st = sample_table(create_sample(4, [make_table("T", [(1, 2), (3, 4)])], seed=1), "T")
         with pytest.raises(ValueError, match="read-only"):
             st.matrix()[0, 0] = 5
         with pytest.raises(AttributeError):

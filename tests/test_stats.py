@@ -84,7 +84,7 @@ class TestBuildStats:
     def test_all_columns_covered(self):
         t = make_table("T", [(1, 2), (3, 4)], domain=(0, 10))
         cat = build_stats(t)
-        assert ("T", "C1") in cat and ("T", "C2") in cat
+        assert ("T", "C1") in cat.entries and ("T", "C2") in cat.entries
         with pytest.raises(MissingStatsError):
             cat.get("T", "C9")
 

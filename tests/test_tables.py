@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import sample_table
 from selsample import sampling, tables
 from selsample.sampling import create_sample, load_sample, save_sample
 from selsample.tables import (
@@ -398,7 +399,7 @@ class TestReaderRoutes:
         sdb = create_sample(200, [t, generate_uniform_table("u", 30, 1, Domain(0, 9), seed=5)], seed=9)
         loaded = load_sample(save_sample(sdb, tmp_path / "s"))
         for st in sdb.tables:
-            assert np.array_equal(loaded.table(st.name).matrix(), st.matrix())
+            assert np.array_equal(sample_table(loaded, st.name).matrix(), st.matrix())
         assert routes == {"whole": [True] * 2, "sidecar": [True] * 2}
 
     @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
