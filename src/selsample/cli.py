@@ -101,8 +101,8 @@ def cmd_build_sample(args) -> int:
 
 
 def cmd_build_stats(args) -> int:
-    tables = _load_tables(args.table, _parse_domain(args))
     catalog = StatsCatalog(args.buckets, args.mcv)
+    tables = _load_tables(args.table, _parse_domain(args))
     for t in tables:
         catalog.update(build_stats(t, args.buckets, args.mcv))
     dump_stats(catalog, args.out)
@@ -163,13 +163,14 @@ def cmd_sample_size(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    sdb = load_sample(args.sample)
+    domain = _parse_domain(args)
+    sdb = load_sample(args.sample, domain)
     exact_tables = None
     if args.exact_against:
-        exact_tables = _load_tables(args.exact_against, _parse_domain(args))
+        exact_tables = _load_tables(args.exact_against, domain)
         catalog = {t.name: t for t in exact_tables}
     else:
-        # A loaded sample table's domains span its values, so it parses as is.
+        # A loaded sample's domains are --domain-lo/--domain-hi or span its values.
         catalog = {st.name: st for st in sdb.tables}
     plan = parse_query(args.query, catalog)
     records = estimate_all_nodes(sdb, plan, db=exact_tables)

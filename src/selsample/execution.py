@@ -15,7 +15,8 @@ No estimator builds a join result; each counts.
   parent's weights. Only in a 2-table plan does the root have a single
   child; there the count is the sum of that edge's matches, and row order
   does not matter. The lookup takes one of two forms, chosen by the child
-  column's `Domain` [lo, hi], which holds every value of the column:
+  column's span [lo, hi], the [min, max] of its values in the whole table
+  (`Table.span`), whatever domain the table was declared with:
   - Dense, when hi - lo + 1 <= c * (parent rows + child rows), with c = 16
     for `=` and `<>` and c = 4 for the inequalities: one slot per value in
     [lo, hi] holds the child weight of that value (distribution counting,
@@ -36,7 +37,8 @@ No estimator builds a join result; each counts.
   32. Their c stops at 16 because the slots take memory: up to 128 bytes
   per row of the edge's two sides.
   Each leaf's join values are gathered from its contiguous column with
-  `np.compress`. Counts are exact integers: int64 while the product of the
+  `np.compress`; a plan with a leaf that keeps no rows counts 0 without a
+  lookup. Counts are exact integers: int64 while the product of the
   filtered leaf sizes fits, Python ints beyond.
 
 `execute_plan` is the reference implementation the counts are tested
@@ -81,7 +83,7 @@ __all__ = [
 
 Database = Union[Sequence[Table], SampleDatabase]
 
-# The dense form of a join edge's lookup serves child columns whose domain
+# The dense form of a join edge's lookup serves child columns whose span
 # has at most this many values per row of the edge's two sides: more for
 # `=` and `<>`, which read the slots directly, than for the inequalities,
 # which also take a running total over them.
@@ -344,8 +346,8 @@ class _Counter:
         nodes = subplans(node)
         leaves = [n for n in nodes if isinstance(n, SelectLeaf)]
         sizes = [int(np.count_nonzero(self.mask(leaf))) for leaf in leaves]
-        if len(leaves) == 1:
-            return sizes[0]
+        if len(leaves) == 1 or 0 in sizes:  # one leaf, or a leaf that keeps no rows
+            return math.prod(sizes)
         dtype = np.int64 if math.prod(sizes) < 2**63 else object
         at = {leaf.table: k for k, leaf in enumerate(leaves)}
         # edges[k]: (neighbour, own column, neighbour's column, op as "own op neighbour")
@@ -370,12 +372,12 @@ class _Counter:
         for k in reversed(order[1:]):
             p, p_col, k_col, op = parent[k]
             pv, kv = self._values(leaves[p], p_col), self._values(leaves[k], k_col)
-            domain = self.frames[leaves[k].table].column(k_col).domain
+            span = self.frames[leaves[k].table].span(k_col)
             if len(leaves) == 2:
                 # Any larger tree's root has two or more children; here the
                 # root's one child gives the count as the sum of its matches.
-                return _match_total(pv, kv, weights[k], op, domain, dtype)
-            counts = _matches(pv, kv, weights[k], op, domain)
+                return _match_total(pv, kv, weights[k], op, span, dtype)
+            counts = _matches(pv, kv, weights[k], op, span)
             weights[p] = counts.astype(dtype, copy=False) if weights[p] is None else weights[p] * counts
         return int(weights[root].sum())
 

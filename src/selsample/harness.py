@@ -241,6 +241,7 @@ def run_experiment(
     for k, size in enumerate(sample_sizes):
         if size in sample_sizes[:k]:
             raise ValueError(f"sample size {size} is given more than once")
+    catalog = StatsCatalog(stats_buckets, stats_mcv)
 
     # Exact selectivity per (query, node), one count each.
     exact_nodes = [[exact_selectivity(tables, node) for node in subplans(plan)] for plan in workload]
@@ -260,7 +261,6 @@ def run_experiment(
                 per_query.append((qid, rec))
             roots[-1].append(records[-1])
 
-    catalog = StatsCatalog(stats_buckets, stats_mcv)
     if "histogram" in methods:
         for t in tables:
             catalog.update(build_stats(t, stats_buckets, stats_mcv))

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .tables import Table, read_int_csv, spanning_schema, write_int_csv
+from .tables import ColumnMeta, Domain, Table, read_int_csv, write_int_csv
 
 __all__ = [
     "SampleTable",
@@ -169,7 +169,7 @@ def _read_manifest(mp: Path) -> tuple[int, int, list[dict]]:
     return ints[0], ints[1], tables
 
 
-def load_sample(manifest_path: str | Path) -> SampleDatabase:
+def load_sample(manifest_path: str | Path, domain: Domain | None = None) -> SampleDatabase:
     """Load a sample database previously written by save_sample.
 
     Each table comes from its sidecar (see save_sample) when all of these
@@ -184,7 +184,8 @@ def load_sample(manifest_path: str | Path) -> SampleDatabase:
     sidecar, or a sample written by hand. Its sampleindex values must be
     exactly 1..size, in any order; the rows are stored in sampleindex order.
     Both routes give the same tables and the same errors. Column domains are
-    the [min, max] of the sampled values.
+    `domain` when given (a sampled value outside it is an error naming the
+    manifest), and the [min, max] of the sampled values otherwise.
     """
     mp = Path(manifest_path)
     if not mp.is_file():
@@ -197,7 +198,7 @@ def load_sample(manifest_path: str | Path) -> SampleDatabase:
         if rows is None:
             rows = _read_sample_csv(path, entry["columns"], size)
         try:
-            tables.append(SampleTable(entry["base"], spanning_schema(entry["columns"], rows), rows))
+            tables.append(SampleTable(entry["base"], [ColumnMeta(c, domain) for c in entry["columns"]], rows))
         except ValueError as exc:
             raise ValueError(f"{mp}: {exc}") from None
     try:

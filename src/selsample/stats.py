@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 INEQUALITY_JOIN_SELECTIVITY = 1.0 / 3.0  # conventional optimizer default
+MAX_BUCKETS = 10_000  # PostgreSQL's largest statistics target
 
 
 class MissingStatsError(LookupError):
@@ -58,11 +59,6 @@ class MCVList:
     """
 
     entries: tuple[tuple[int, float], ...]
-    capacity: int
-
-    def __post_init__(self) -> None:
-        if len(self.entries) > self.capacity:
-            raise ValueError("MCV list exceeds its capacity")
 
     @property
     def total(self) -> float:
@@ -133,8 +129,8 @@ class StatsCatalog:
     """Statistics for a set of (table, column) pairs."""
 
     def __init__(self, buckets: int = 100, mcv_capacity: int = 100):
-        if buckets < 1:
-            raise ValueError("need at least one histogram bucket")
+        if not 1 <= buckets <= MAX_BUCKETS:
+            raise ValueError(f"histogram buckets must be between 1 and {MAX_BUCKETS}, got {buckets}")
         if mcv_capacity < 0:
             raise ValueError("MCV capacity must be non-negative")
         self.buckets = buckets
@@ -183,7 +179,7 @@ def build_stats(table: Table, buckets: int = 100, mcv: int = 100) -> StatsCatalo
             table.name,
             col.name,
             ColumnStats(
-                mcv=MCVList(mcv_entries, mcv),
+                mcv=MCVList(mcv_entries),
                 histogram=hist,
                 n_distinct=distinct.size,
                 n_distinct_non_mcv=distinct.size - len(mcv_entries),

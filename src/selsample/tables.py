@@ -23,7 +23,6 @@ __all__ = [
     "int_matrix",
     "read_int_csv",
     "write_int_csv",
-    "spanning_schema",
     "read_csv",
     "save_csv",
     "generate_uniform_table",
@@ -63,10 +62,11 @@ class Domain:
 
 @dataclass(frozen=True)
 class ColumnMeta:
-    """A named column together with its value domain."""
+    """A named column together with its value domain; a Table gives a column
+    declared without one the [min, max] of its values."""
 
     name: str
-    domain: Domain
+    domain: Domain | None = None
 
     def __post_init__(self) -> None:
         if not _IDENT_RE.fullmatch(self.name):
@@ -78,7 +78,9 @@ class Table:
 
     The rows live in one read-only, column-major int64 matrix, so each column
     is contiguous. `rows` may be any (n, k) array (it is copied, so the
-    caller's array stays its own) or any iterable of rows.
+    caller's array stays its own) or any iterable of rows. Each column's
+    [min, max] is taken once: it checks the declared domain, stands in for
+    a domain not declared, and is the column's `span`.
     """
 
     def __init__(
@@ -95,20 +97,26 @@ class Table:
         names = [c.name for c in columns]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate column names in table {name!r}")
-        self.name = name
-        self.columns = columns
-        self._col_index = {c.name: i for i, c in enumerate(columns)}
         m = self._matrix = int_matrix(rows, len(columns))
-        lo, hi = [c.domain.lo for c in columns], [c.domain.hi for c in columns]
-        # The first bad cell in column-major order.
-        bad = np.flatnonzero(((m < lo) | (m > hi)).T)
-        if bad.size:
-            j, r = divmod(int(bad[0]), self.row_count)
-            d = columns[j].domain
-            raise ValueError(
-                f"row {r + 1}, column {columns[j].name}: value {int(m[r, j])} "
-                f"outside domain [{d.lo}, {d.hi}]"
-            )
+        if m.shape[0]:  # one [min, max] per column, each contiguous in the column-major matrix
+            spans = [Domain(int(m[:, j].min()), int(m[:, j].max())) for j in range(len(columns))]
+        elif any(c.domain is None for c in columns):
+            raise ValueError("cannot infer domains of an empty table; supply a domain")
+        else:
+            spans = [c.domain for c in columns]
+        for j, (c, span) in enumerate(zip(columns, spans)):
+            d = c.domain
+            if d is not None and (span.lo < d.lo or span.hi > d.hi):
+                # The first bad cell in column-major order.
+                r = int(np.flatnonzero((m[:, j] < d.lo) | (m[:, j] > d.hi))[0])
+                raise ValueError(
+                    f"row {r + 1}, column {c.name}: value {int(m[r, j])} "
+                    f"outside domain [{d.lo}, {d.hi}]"
+                )
+        self.name = name
+        self.columns = tuple(c if c.domain else ColumnMeta(c.name, span) for c, span in zip(columns, spans))
+        self._spans = spans
+        self._col_index = {c.name: i for i, c in enumerate(columns)}
 
     @property
     def rows(self) -> list[tuple[int, ...]]:
@@ -131,6 +139,11 @@ class Table:
 
     def column(self, name: str) -> ColumnMeta:
         return self.columns[self.column_index(name)]
+
+    def span(self, name: str) -> Domain:
+        """The [min, max] of the column's values; on an empty table, its
+        declared domain."""
+        return self._spans[self.column_index(name)]
 
     def matrix(self) -> np.ndarray:
         """The read-only column-major int64 matrix of the data."""
@@ -299,28 +312,14 @@ def read_csv(path: str | Path, domain: Domain | None = None) -> Table:
     """Load a CSV file as a table named after the file.
 
     Column names come from the header; domains are either the one supplied
-    (applied to every column) or inferred as each column's [min, max].
+    (applied to every column) or each column's [min, max].
     """
     p = Path(path)
     names, m = read_int_csv(p)
-    if domain is not None:
-        schema = [ColumnMeta(n, domain) for n in names]
-    elif m.shape[0]:
-        schema = spanning_schema(names, m)
-    else:
-        raise CsvFormatError(f"{p}: cannot infer domains of an empty table; supply a domain")
     try:
-        return Table(p.stem, schema, m)
-    except ValueError as exc:  # an invalid name or an out-of-domain value
+        return Table(p.stem, [ColumnMeta(n, domain) for n in names], m)
+    except ValueError as exc:  # an invalid name, an out-of-domain value, no rows to span
         raise CsvFormatError(f"{p}: {exc}") from None
-
-
-def spanning_schema(names: Sequence[str], m: np.ndarray) -> list[ColumnMeta]:
-    """Columns whose domains are the [min, max] of each column of a non-empty matrix."""
-    # One 1-D reduction per column: contiguous on a table's column-major
-    # matrix, and on a narrow row-major matrix still far faster than an
-    # axis-0 reduction.
-    return [ColumnMeta(n, Domain(int(m[:, j].min()), int(m[:, j].max()))) for j, n in enumerate(names)]
 
 
 def save_csv(table: Table, path: str | Path) -> None:

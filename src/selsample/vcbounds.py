@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 __all__ = [
     "DEFAULT_LOG_BASE",
@@ -53,12 +53,10 @@ def _log(x: float, base: float) -> float:
 
 @dataclass(frozen=True)
 class VcBoundReport:
-    """An upper bound on the VC dimension of a query class, with provenance."""
+    """An upper bound on the VC dimension of a query class, and the formula that gave it."""
 
     bound: float
     formula_id: str
-    log_base: float
-    params: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.bound >= 1.0:
@@ -120,7 +118,7 @@ def bound_select_single(m: int, log_base: float = DEFAULT_LOG_BASE) -> VcBoundRe
     """Bound for single-clause selections over a table with m columns: m + 1."""
     if m < 1:
         raise ValueError("m must be at least 1")
-    return VcBoundReport(float(m + 1), "select_single", log_base, {"m": m})
+    return VcBoundReport(float(m + 1), "select_single")
 
 
 @_in_float_range
@@ -134,7 +132,7 @@ def bound_boolean_combination(
         raise ValueError("combination size h must be at least 1")
     dh = d * h
     value = 3.0 * dh * _log(dh, log_base)
-    return VcBoundReport(value, "boolean_combination", log_base, {"d": d, "h": h})
+    return VcBoundReport(value, "boolean_combination")
 
 
 @_in_float_range
@@ -154,7 +152,7 @@ def bound_select_boolean(
     value = 3.0 * x * _log(x, log_base)
     if b == 1:
         value = min(value, float(m + 1))
-    return VcBoundReport(value, "select_boolean", log_base, {"m": m, "b": b})
+    return VcBoundReport(value, "select_boolean")
 
 
 @_in_float_range
@@ -164,7 +162,7 @@ def bound_join_pair(v1: int, v2: int, log_base: float = DEFAULT_LOG_BASE) -> VcB
         raise ValueError("per-side dimensions must be at least 2")
     total = v1 + v2
     value = 3.0 * total * _log(total, log_base)
-    return VcBoundReport(value, "join_pair", log_base, {"v1": v1, "v2": v2})
+    return VcBoundReport(value, "join_pair")
 
 
 @_in_float_range
@@ -195,7 +193,7 @@ def bound_multi_join(
     value = 4.0 * u * total * _log(u * total, log_base)
     if u == 2:
         value = min(value, bound_join_pair(dims[0], dims[1], log_base).bound)
-    return VcBoundReport(value, "multi_join", log_base, {"u": u, "dims": dims, "m": m})
+    return VcBoundReport(value, "multi_join")
 
 
 @_in_float_range
@@ -215,12 +213,11 @@ def bound_general(
     if b < 1:
         raise ValueError("b must be at least 1")
     if u == 1:
-        inner = bound_select_boolean(m, b, log_base)
-        return VcBoundReport(inner.bound, inner.formula_id, log_base, {"u": u, "m": m, "b": b})
+        return bound_select_boolean(m, b, log_base)
     x = (m + 1) * b
     inner_value = 3.0 * u * u * x * _log(x, log_base)
     value = 4.0 * inner_value * _log(inner_value, log_base)
-    return VcBoundReport(value, "general", log_base, {"u": u, "m": m, "b": b})
+    return VcBoundReport(value, "general")
 
 
 @_in_float_range

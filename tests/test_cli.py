@@ -1,6 +1,7 @@
 """End-to-end CLI flows: every command, determinism, and exit codes."""
 
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -100,6 +101,13 @@ class TestBuildSample:
     def test_needs_size_or_auto(self, tmp_path, uniform_csv):
         assert run(["build-sample", "--table", str(uniform_csv), "--out", str(tmp_path / "s")]) == 2
 
+    def test_domain_flags(self, tmp_path, uniform_csv, capsys):
+        argv = ["build-sample", "--table", str(uniform_csv), "--size", "16", "--out", str(tmp_path / "s")]
+        assert run(argv + ["--domain-lo", "-5", "--domain-hi", "105"]) == 0
+        capsys.readouterr()
+        assert run(argv + ["--domain-hi", "105"]) == 2
+        assert capsys.readouterr().err == "error: --domain-lo and --domain-hi must be given together\n"
+
     def test_allocation_beyond_memory_exits_2(self, tmp_path, uniform_csv, capsys, monkeypatch):
         def create_sample(s, tables, seed):
             raise MemoryError(f"Unable to allocate {s * 8 / 2**30:.1f} GiB for an array")
@@ -119,6 +127,26 @@ class TestBuildStats:
         assert code == 0
         columns = [line.split()[1:3] for line in out.read_text().splitlines() if line.startswith("column ")]
         assert columns == [["table=t", "name=C1"], ["table=t", "name=C2"]]
+
+    def test_domain_flags(self, tmp_path, uniform_csv, capsys):
+        out = tmp_path / "st.txt"
+        argv = ["build-stats", "--table", str(uniform_csv), "--out", str(out)]
+        assert run(argv + ["--domain-lo", "0", "--domain-hi", "100"]) == 0
+        out.unlink()
+        capsys.readouterr()
+        assert run(argv + ["--domain-lo", "0"]) == 2
+        assert capsys.readouterr().err == "error: --domain-lo and --domain-hi must be given together\n"
+        assert not out.exists()
+
+    def test_bucket_limit(self, tmp_path, uniform_csv, capsys):
+        # 10,000 is PostgreSQL's largest statistics target.
+        out = tmp_path / "st.txt"
+        argv = ["build-stats", "--table", str(uniform_csv), "--out", str(out), "--buckets"]
+        assert run(argv + ["10001"]) == 2
+        assert capsys.readouterr().err == "error: histogram buckets must be between 1 and 10000, got 10001\n"
+        assert not out.exists()
+        assert run(argv + ["10000"]) == 0
+        assert out.read_text().startswith("catalog buckets=10000 ")
 
     def test_value_beyond_int64_exits_2(self, tmp_path, capsys):
         big = tmp_path / "big.csv"
@@ -157,6 +185,11 @@ class TestBoundsAndSampleSize:
 
     def test_sample_size_needs_inputs(self):
         assert run(["sample-size"]) == 2
+
+    def test_sample_size_text_with_population(self, capsys):
+        assert run(["sample-size", "--d-override", "16", "--population", "500"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "sample_size: 500" in lines and lines[-1] == "population: 500"
 
     # Each one overflows or underflows a float inside a bound or size formula.
     @pytest.mark.parametrize(
@@ -217,6 +250,41 @@ class TestEstimate:
         with pytest.warns(SchemaWarning) as caught:
             assert run(argv) == 0
         assert [Path(w.filename).name for w in caught] == ["cli.py"]
+
+    def _sample(self, tmp_path, uniform_csv, capsys) -> str:
+        run(["build-sample", "--table", str(uniform_csv), "--size", "64", "--seed", "1",
+             "--out", str(tmp_path / "sample")])
+        capsys.readouterr()
+        return str(tmp_path / "sample" / "manifest.json")
+
+    def test_unpaired_domain_flag_exits_2(self, tmp_path, uniform_csv, capsys):
+        manifest = self._sample(tmp_path, uniform_csv, capsys)
+        argv = ["estimate", "--query", "SELECT * FROM t WHERE t.C1 = 5", "--sample", manifest, "--domain-lo", "0"]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == "error: --domain-lo and --domain-hi must be given together\n"
+
+    def test_covering_domain_removes_the_span_warning(self, tmp_path, uniform_csv, capsys):
+        # The sample's values span less than the table's domain [0, 100].
+        manifest = self._sample(tmp_path, uniform_csv, capsys)
+        c1 = load_sample(manifest).tables[0].column("C1").domain
+        assert c1.hi < 100
+        argv = ["estimate", "--query", "SELECT * FROM t WHERE t.C1 = 100", "--sample", manifest]
+        with pytest.warns(SchemaWarning, match=rf"constant 100 outside domain \[{c1.lo}, {c1.hi}\]"):
+            assert run(argv) == 0
+        spanned = capsys.readouterr().out
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv + ["--domain-lo", "0", "--domain-hi", "100"]) == 0
+        assert capsys.readouterr().out == spanned
+
+    def test_domain_the_sample_exceeds_exits_2(self, tmp_path, uniform_csv, capsys):
+        manifest = self._sample(tmp_path, uniform_csv, capsys)
+        argv = ["estimate", "--query", "SELECT * FROM t WHERE t.C1 = 5", "--sample", manifest,
+                "--domain-lo", "0", "--domain-hi", "10"]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {manifest}: row ") and "outside domain [0, 10]" in err
+        assert err.count("\n") == 1
 
     def test_stdout_csv(self, tmp_path, uniform_csv, capsys):
         sample_dir = tmp_path / "sample"
@@ -422,6 +490,35 @@ class TestExperiment:
         capsys.readouterr()
         assert run(argv) == 2
         assert capsys.readouterr().err == "error: method 'indexed' is given more than once\n"
+        assert not (tmp_path / "exp").exists()
+
+    @pytest.mark.parametrize("kind,size", [("select-only", 150), ("join-pair", 14_067)])
+    def test_size_from_the_class_bound(self, tmp_path, uniform_csv, kind, size):
+        # u = 1 or 2, m = 1, b = 2 at epsilon 0.3.
+        argv = self._args(uniform_csv, tmp_path / "exp")
+        del argv[argv.index("--sizes"):argv.index("--sizes") + 2]
+        argv[argv.index("--count") + 1] = "2"
+        argv[argv.index("--epsilon") + 1] = "0.3"
+        argv[argv.index("--methods") + 1] = "indexed"
+        argv += ["--kind", kind, "--table", str(uniform_csv.with_name("u.csv"))]
+        uniform_csv.with_name("u.csv").write_bytes(uniform_csv.read_bytes())
+        assert run(argv) == 0
+        summary = (tmp_path / "exp" / "summary.csv").read_text().splitlines()
+        assert [line.split(",")[:2] for line in summary[1:]] == [["indexed", str(size)]]
+
+    def test_domain_flags(self, tmp_path, uniform_csv, capsys):
+        argv = self._args(uniform_csv, tmp_path / "exp")
+        assert run(argv + ["--domain-lo", "0", "--domain-hi", "100"]) == 0
+        capsys.readouterr()
+        argv = self._args(uniform_csv, tmp_path / "exp2") + ["--domain-hi", "100"]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == "error: --domain-lo and --domain-hi must be given together\n"
+        assert not (tmp_path / "exp2").exists()
+
+    def test_bucket_limit(self, tmp_path, uniform_csv, capsys):
+        argv = self._args(uniform_csv, tmp_path / "exp") + ["--buckets", "10001"]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == "error: histogram buckets must be between 1 and 10000, got 10001\n"
         assert not (tmp_path / "exp").exists()
 
     def test_missing_table_exits_2(self, tmp_path):

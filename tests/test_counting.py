@@ -17,6 +17,7 @@ from conftest import (
     random_small_tables,
     sample_table,
 )
+from selsample import execution
 from selsample.execution import (
     _dense,
     _match_total,
@@ -36,7 +37,7 @@ from selsample.queries import (
     parse_query,
     subplans,
 )
-from selsample.sampling import create_sample
+from selsample.sampling import create_sample, load_sample, save_sample
 from selsample.tables import ColumnMeta, Domain, Table
 
 
@@ -238,3 +239,60 @@ def test_two_table_count_with_full_and_empty_leaves(op):
             assert count == len(brute_force_result(tables, plan))
             if pa is not None or pb is not None:
                 assert count == 0
+
+
+_SPAN_PLANS = [
+    "SELECT * FROM A, B WHERE A.C1 = B.C1",
+    "SELECT * FROM A, B WHERE A.C2 < B.C1 AND B.C2 >= 10",
+    "SELECT * FROM A, B, C WHERE A.C1 = B.C1 AND B.C2 <> C.C2 AND C.C1 <= 40",
+]
+
+
+def _forms(monkeypatch, count):
+    """count()'s result, and the (op, span) of every dense lookup it makes."""
+    calls = []
+
+    def spy(pv, cv, cw, op, domain):
+        calls.append((op, domain))
+        return dense_matches(pv, cv, cw, op, domain)
+
+    dense_matches = execution._dense_matches
+    monkeypatch.setattr(execution, "_dense_matches", spy)
+    try:
+        return count(), calls
+    finally:
+        monkeypatch.setattr(execution, "_dense_matches", dense_matches)
+
+
+def _declared(tables, domain):
+    return [Table(t.name, [ColumnMeta(n, domain) for n in t.column_names], t.matrix()) for t in tables]
+
+
+def _span_tables():
+    rng = np.random.default_rng(59)
+    return [make_table(name, rng.integers(0, 51, size=(40, 2)), domain=(0, 50)) for name in "ABC"]
+
+
+@pytest.mark.parametrize("query", _SPAN_PLANS)
+def test_join_lookups_follow_the_values_not_the_declared_domain(monkeypatch, query):
+    tight = _span_tables()
+    wide = _declared(tight, Domain(-(10**9), 10**9))
+    plan = parse_query(query, tight)
+    count_tight, forms_tight = _forms(monkeypatch, lambda: exact_cardinality(tight, plan))
+    count_wide, forms_wide = _forms(monkeypatch, lambda: exact_cardinality(wide, plan))
+    assert count_tight == count_wide == len(brute_force_result(tight, plan))
+    # Every edge is dense: at most 51 values over up to 80 rows.
+    assert len(forms_tight) == len(leaf_tables(plan)) - 1
+    assert forms_wide == forms_tight
+
+
+@pytest.mark.parametrize("query", _SPAN_PLANS)
+def test_a_drawn_sample_takes_the_lookups_of_its_saved_copy(monkeypatch, tmp_path, query):
+    wide = _declared(_span_tables(), Domain(-(10**9), 10**9))
+    plan = parse_query(query, wide)
+    drawn = create_sample(400, wide, seed=5)
+    loaded = load_sample(save_sample(drawn, tmp_path))
+    records_drawn, forms_drawn = _forms(monkeypatch, lambda: estimate_all_nodes(drawn, plan))
+    records_loaded, forms_loaded = _forms(monkeypatch, lambda: estimate_all_nodes(loaded, plan))
+    assert records_drawn == records_loaded
+    assert forms_drawn and forms_drawn == forms_loaded

@@ -97,6 +97,17 @@ class TestExecutePlan:
         with pytest.raises(LookupError, match="not present"):
             execute_plan([t], SelectLeaf("X", None))
 
+    @pytest.mark.parametrize("run", [execute_plan, exact_cardinality])
+    def test_condition_that_does_not_connect_the_subplans(self, run):
+        tables = [make_table(name, [(0, 0)]) for name in "ABC"]
+        plan = JoinNode(
+            SelectLeaf("A", None),
+            SelectLeaf("B", None),
+            JoinCondition(ColumnRef("A", "C1"), ColumnRef("C", "C1"), EQ),
+        )
+        with pytest.raises(LookupError, match=r"^join condition A\.C1 = C\.C1 does not connect the two subplans$"):
+            run(tables, plan)
+
 
 class TestExecuteRandomized:
     def test_matches_brute_force_on_small_instances(self):

@@ -15,7 +15,7 @@ from selsample.harness import (
 )
 from selsample.queries import PREDICATE_LIMIT, JoinNode, SelectLeaf, class_params, ComparisonOp
 from selsample.sampling import create_sample
-from selsample.tables import Domain, generate_uniform_table
+from selsample.tables import ColumnMeta, Domain, Table, generate_uniform_table
 
 T100 = generate_uniform_table("T", 100, 3, Domain(0, 50), seed=1)
 A100 = generate_uniform_table("A", 100, 2, Domain(0, 50), seed=2)
@@ -82,6 +82,11 @@ class TestGenerateWorkload:
             generate_workload(WorkloadSpec(m=9, b=9), [T100])
         with pytest.raises(ValueError, match="two tables"):
             generate_workload(WorkloadSpec(m=1, b=1, kind="join-pair"), [A100])
+
+    def test_join_pair_needs_a_shared_column(self):
+        other = Table("X", [ColumnMeta("D1")], [(1,), (2,)])
+        with pytest.raises(ValueError, match="^tables 'A' and 'X' share no column name to join on$"):
+            generate_workload(WorkloadSpec(m=1, b=1, kind="join-pair"), [A100, other])
 
 
 class TestPercentError:

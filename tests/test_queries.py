@@ -119,6 +119,24 @@ class TestParseErrors:
             parse_query("SELECT * FROM NOPE", CATALOG)
         assert exc.value.position == 14
 
+    @pytest.mark.parametrize(
+        "text,message,at",
+        [
+            ("SELECT * FROM T WHERE T.C1 5", "expected comparison operator, got '5'", "5"),
+            ("SELECT * FROM T WHERE T.C1 >= )", "expected integer or qualified column, got ')'", ")"),
+            (
+                "SELECT * FROM T, A, B WHERE A.C1 = B.C1 AND B.C2 < A.C2",
+                "join conditions must chain one new table at a time (left-deep plans only)",
+                "B.C2",
+            ),
+        ],
+    )
+    def test_message_and_position(self, text, message, at):
+        with pytest.raises(ParseError) as exc:
+            parse_query(text, CATALOG)
+        assert exc.value.position == text.index(at)
+        assert str(exc.value).startswith(message)
+
     def test_clause_and_nesting_limits(self):
         clauses = " OR ".join(["T.C1 < 5"] * PREDICATE_LIMIT)
         nested = "(" * PREDICATE_LIMIT + "T.C1 < 5" + ")" * PREDICATE_LIMIT

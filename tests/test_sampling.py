@@ -15,7 +15,7 @@ from selsample import sampling
 from selsample.execution import estimate_all_nodes
 from selsample.queries import parse_query
 from selsample.sampling import SampleDatabase, SampleTable, create_sample, load_sample, save_sample
-from selsample.tables import ColumnMeta, CsvFormatError, Domain, Table, spanning_schema
+from selsample.tables import ColumnMeta, CsvFormatError, Domain, Table
 
 
 class TestCreateSample:
@@ -376,19 +376,19 @@ def _sample_dbs(draw):
     for name in draw(st.lists(st.sampled_from("ABC"), min_size=1, max_size=3, unique=True)):
         k = draw(st.integers(1, 3))
         m = np.array(draw(st.lists(cells, min_size=size * k, max_size=size * k)), dtype=np.int64).reshape(size, k)
-        tables.append(SampleTable(name, spanning_schema([f"C{j + 1}" for j in range(k)], m), m))
+        tables.append(SampleTable(name, [ColumnMeta(f"C{j + 1}") for j in range(k)], m))
     return SampleDatabase(size, draw(st.integers(0, 2**32)), tables)
 
 
 def _single_row_db() -> SampleDatabase:
     m = np.array([[_INT64_MIN, _INT64_MAX, -7]], dtype=np.int64)
-    return SampleDatabase(1, 3, [SampleTable("A", spanning_schema(["C1", "C2", "C3"], m), m)])
+    return SampleDatabase(1, 3, [SampleTable("A", [ColumnMeta(n) for n in ["C1", "C2", "C3"]], m)])
 
 
 def _as_loaded(sdb: SampleDatabase):
     """What load_sample gives for a saved sdb: each column's domain is the
     [min, max] of its sampled values."""
-    tables = [SampleTable(t.name, spanning_schema(t.column_names, t.matrix()), t.matrix()) for t in sdb.tables]
+    tables = [SampleTable(t.name, [ColumnMeta(n) for n in t.column_names], t.matrix()) for t in sdb.tables]
     return sdb.size, sdb.seed, tuple(tables)
 
 

@@ -52,6 +52,23 @@ class TestTable:
         with pytest.raises(ValueError, match=r"row 2, column C2"):
             Table("T", SCHEMA_0_10, [(1, 2), (3, 11)])
 
+    def test_first_bad_cell_in_column_major_order(self):
+        with pytest.raises(ValueError, match=r"^row 2, column C1: value 11 outside domain \[0, 10\]$"):
+            Table("T", SCHEMA_0_10, [(1, 12), (11, 2), (12, 3)])
+
+    def test_span_and_undeclared_domains(self):
+        t = Table("T", [ColumnMeta("C1", Domain(-5, 50)), ColumnMeta("C2")], [(1, 9), (3, -4), (2, 7)])
+        assert (t.span("C1"), t.span("C2")) == (Domain(1, 3), Domain(-4, 9))
+        assert t.columns == (ColumnMeta("C1", Domain(-5, 50)), ColumnMeta("C2", Domain(-4, 9)))
+        with pytest.raises(LookupError):
+            t.span("C3")
+
+    def test_empty_table(self):
+        t = Table("T", SCHEMA_0_10, [])
+        assert t.span("C2") == Domain(0, 10)
+        with pytest.raises(ValueError, match="cannot infer domains of an empty table"):
+            Table("T", [ColumnMeta("C1", Domain(0, 1)), ColumnMeta("C2")], [])
+
     def test_duplicate_columns_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             Table("T", [ColumnMeta("C1", Domain(0, 1)), ColumnMeta("C1", Domain(0, 1))], [])
@@ -118,6 +135,17 @@ class TestCsv:
         t = read_csv(p)
         assert t.column("A").domain == Domain(1, 3)
         assert t.column("B").domain == Domain(5, 9)
+
+    def test_empty_file_and_invalid_header_name(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("")
+        with pytest.raises(CsvFormatError) as exc:
+            read_csv(p)
+        assert str(exc.value) == f"{p}: empty file, missing header row"
+        p.write_text("C1,2x\n1,2\n")
+        with pytest.raises(CsvFormatError) as exc:
+            read_csv(p)
+        assert str(exc.value) == f"{p}: invalid column name in header: '2x'"
 
     def test_read_csv_empty_needs_domain(self, tmp_path):
         p = tmp_path / "t.csv"

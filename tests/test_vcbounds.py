@@ -279,13 +279,11 @@ class TestSampleSizeRel:
 class TestReport:
     def test_bound_below_one_rejected(self):
         with pytest.raises(ValueError):
-            VcBoundReport(0.5, "x", 2.0, {})
+            VcBoundReport(0.5, "x")
 
     def test_fields(self):
         rep = bound_select_boolean(2, 3, log_base=2.0)
         assert rep.formula_id == "select_boolean"
-        assert rep.log_base == 2.0
-        assert rep.params == {"m": 2, "b": 3}
 
     def test_log_base_changes_value(self):
         b2 = bound_select_boolean(2, 2, log_base=2.0).bound
