@@ -110,6 +110,16 @@ def cmd_build_stats(args) -> int:
     return 0
 
 
+def _print_record(record: dict, as_json: bool) -> int:
+    """Print one record, as a sorted JSON line or as "key: value" lines in order."""
+    if as_json:
+        print(json.dumps(record, sort_keys=True))
+    else:
+        for key, value in record.items():
+            print(f"{key}: {value}")
+    return 0
+
+
 def cmd_bounds(args) -> int:
     report = bound_general(args.u, args.m, args.b, args.log_base)
     record = {
@@ -121,12 +131,7 @@ def cmd_bounds(args) -> int:
         "bound": report.bound,
         "dimension": report.dimension,
     }
-    if args.json:
-        print(json.dumps(record, sort_keys=True))
-    else:
-        for key, value in record.items():
-            print(f"{key}: {value}")
-    return 0
+    return _print_record(record, args.json)
 
 
 def cmd_sample_size(args) -> int:
@@ -154,25 +159,16 @@ def cmd_sample_size(args) -> int:
         record["c_prime"] = args.c_prime
     if args.population is not None:
         record["population"] = args.population
-    if args.json:
-        print(json.dumps(record, sort_keys=True))
-    else:
-        for key, value in record.items():
-            print(f"{key}: {value}")
-    return 0
+    return _print_record(record, args.json)
 
 
 def cmd_estimate(args) -> int:
     domain = _parse_domain(args)
     sdb = load_sample(args.sample, domain)
-    exact_tables = None
-    if args.exact_against:
-        exact_tables = _load_tables(args.exact_against, domain)
-        catalog = {t.name: t for t in exact_tables}
-    else:
-        # A loaded sample's domains are --domain-lo/--domain-hi or span its values.
-        catalog = {st.name: st for st in sdb.tables}
-    plan = parse_query(args.query, catalog)
+    exact_tables = _load_tables(args.exact_against, domain) if args.exact_against else None
+    # Without --exact-against the sample is the catalog: its domains are
+    # --domain-lo/--domain-hi, or span its values.
+    plan = parse_query(args.query, exact_tables or sdb.tables)
     records = estimate_all_nodes(sdb, plan, db=exact_tables)
     text = per_query_csv([(0, r) for r in records])
     if args.out:

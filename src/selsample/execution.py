@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -80,8 +80,6 @@ __all__ = [
     "estimate_indexed",
     "estimate_all_nodes",
 ]
-
-Database = Union[Sequence[Table], SampleDatabase]
 
 # The dense form of a join edge's lookup serves child columns whose span
 # has at most this many values per row of the edge's two sides: more for
@@ -125,13 +123,14 @@ class EstimateRecord:
     exact: float | None = None
 
 
-def _frames(db: Database, plan: QueryPlan) -> dict[str, Table]:
+def _frames(tables: Sequence[Table], plan: QueryPlan) -> dict[str, Table]:
     """The tables the plan reads, by name, after checking that the plan fits them.
 
-    A sample table is a Table stored in sampleindex order, so row i of every
-    sample table belongs to the same aligned draw.
+    `tables` are base tables, or a sample database's `tables`: a sample table
+    is a Table stored in sampleindex order, so row i of every sample table
+    belongs to the same aligned draw.
     """
-    sources = {t.name: t for t in (db.tables if isinstance(db, SampleDatabase) else db)}
+    sources = {t.name: t for t in tables}
     names = leaf_tables(plan)
     frames = {}
     for name in names:
@@ -198,7 +197,7 @@ def _exec(plan: QueryPlan, frames) -> ResultSet:
     return ResultSet(left.tables + right.tables, rows)
 
 
-def execute_plan(db: Database, plan: QueryPlan) -> ResultSet:
+def execute_plan(db: Sequence[Table], plan: QueryPlan) -> ResultSet:
     """Run a plan: filter at the leaves, join at internal nodes, deterministic order."""
     return _exec(plan, _frames(db, plan))
 
@@ -395,12 +394,12 @@ def _denominator(plan: QueryPlan, frames) -> int:
     return denom
 
 
-def exact_cardinality(db: Database, plan: QueryPlan) -> int:
+def exact_cardinality(db: Sequence[Table], plan: QueryPlan) -> int:
     """Exact output cardinality of a plan."""
     return _Counter(_frames(db, plan)).count(plan)
 
 
-def exact_selectivity(db: Database, plan: QueryPlan) -> float:
+def exact_selectivity(db: Sequence[Table], plan: QueryPlan) -> float:
     """Output cardinality divided by the product of the leaf tables' sizes."""
     frames = _frames(db, plan)
     return _Counter(frames).count(plan) / _denominator(plan, frames)
@@ -408,11 +407,11 @@ def exact_selectivity(db: Database, plan: QueryPlan) -> float:
 
 def estimate_indexed(sampledb: SampleDatabase, plan: QueryPlan) -> float:
     """Index-aligned estimate: aligned draws satisfying the plan divided by the sample size."""
-    return _Counter(_frames(sampledb, plan)).aligned_count(plan) / sampledb.size
+    return _Counter(_frames(sampledb.tables, plan)).aligned_count(plan) / sampledb.size
 
 
 def estimate_all_nodes(
-    sampledb: SampleDatabase, plan: QueryPlan, db: Database | None = None
+    sampledb: SampleDatabase, plan: QueryPlan, db: Sequence[Table] | None = None
 ) -> list[EstimateRecord]:
     """Estimates for every subplan, in post-order.
 
@@ -420,7 +419,7 @@ def estimate_all_nodes(
     their children. When `db` is given, each record also carries the exact
     selectivity computed against it.
     """
-    sample = _Counter(_frames(sampledb, plan))
+    sample = _Counter(_frames(sampledb.tables, plan))
     exact = None if db is None else _Counter(_frames(db, plan))
     s = sampledb.size
     records = []

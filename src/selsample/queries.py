@@ -22,7 +22,7 @@ import re
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from .tables import Table
 
@@ -300,7 +300,7 @@ class _Combo:
 
 
 class _Parser:
-    def __init__(self, text: str, catalog: Mapping[str, Table]):
+    def __init__(self, text: str, catalog: dict[str, Table]):
         self.tokens = _tokenize(text)
         self.i = 0
         self.catalog = catalog
@@ -498,18 +498,14 @@ def _to_boolexpr(node) -> tuple[BoolExpr, set[str], int]:
     return expr, lt | rt, lpos
 
 
-def parse_query(text: str, schema: Mapping[str, Table] | Sequence[Table]) -> QueryPlan:
-    """Parse a query against a catalog of tables into a left-deep QueryPlan.
+def parse_query(text: str, tables: Sequence[Table]) -> QueryPlan:
+    """Parse a query against a catalog of Tables, found by name, into a
+    left-deep QueryPlan.
 
-    `schema` is either a mapping from table name to Table or a sequence of
-    Tables. Select operations are pushed to the leaves; AND binds tighter
-    than OR; parentheses are honored.
+    Select operations are pushed to the leaves; AND binds tighter than OR;
+    parentheses are honored.
     """
-    if isinstance(schema, Mapping):
-        catalog = dict(schema)
-    else:
-        catalog = {t.name: t for t in schema}
-    parser = _Parser(text, catalog)
+    parser = _Parser(text, {t.name: t for t in tables})
     try:
         return parser.parse()
     finally:

@@ -75,9 +75,6 @@ def create_sample(s: int, tables: Sequence[Table], seed: int) -> SampleDatabase:
     """
     if s < 1:
         raise ValueError("sample size must be at least 1")
-    tables = list(tables)
-    if not tables:
-        raise ValueError("need at least one base table")
     for t in tables:
         if t.row_count == 0:
             raise ValueError(f"cannot sample empty table {t.name!r}")
@@ -184,8 +181,9 @@ def load_sample(manifest_path: str | Path, domain: Domain | None = None) -> Samp
     sidecar, or a sample written by hand. Its sampleindex values must be
     exactly 1..size, in any order; the rows are stored in sampleindex order.
     Both routes give the same tables and the same errors. Column domains are
-    `domain` when given (a sampled value outside it is an error naming the
-    manifest), and the [min, max] of the sampled values otherwise.
+    `domain` when given, and the [min, max] of the sampled values otherwise.
+    An error in building a table, such as a sampled value outside `domain`,
+    names the manifest and the table's file.
     """
     mp = Path(manifest_path)
     if not mp.is_file():
@@ -200,7 +198,7 @@ def load_sample(manifest_path: str | Path, domain: Domain | None = None) -> Samp
         try:
             tables.append(SampleTable(entry["base"], [ColumnMeta(c, domain) for c in entry["columns"]], rows))
         except ValueError as exc:
-            raise ValueError(f"{mp}: {exc}") from None
+            raise ValueError(f"{mp}: {entry['file']}: {exc}") from None
     try:
         return SampleDatabase(size, seed, tables)
     except ValueError as exc:

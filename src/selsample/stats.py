@@ -73,9 +73,6 @@ class MCVList:
     def mass_le(self, x: int) -> float:
         return sum(f for v, f in self.entries if v <= x)
 
-    def mass_lt(self, x: int) -> float:
-        return sum(f for v, f in self.entries if v < x)
-
 
 @dataclass(frozen=True)
 class EquiDepthHistogram:
@@ -209,18 +206,14 @@ def estimate_clause(stats: ColumnStats, clause: SelectionClause) -> float:
         sel = _estimate_eq(stats, x)
     elif op is ComparisonOp.NE:
         sel = 1.0 - _estimate_eq(stats, x)
-    elif op is ComparisonOp.LE:
-        sel = stats.mcv.mass_le(x) + stats.histogram.mass_le(x)
-    elif op is ComparisonOp.LT:
-        sel = stats.mcv.mass_lt(x) + stats.histogram.mass_le(x - 1)
-    elif op is ComparisonOp.GE:
-        sel = (stats.mcv.total - stats.mcv.mass_lt(x)) + (
-            stats.histogram.total_fraction - stats.histogram.mass_le(x - 1)
-        )
-    else:  # GT
-        sel = (stats.mcv.total - stats.mcv.mass_le(x)) + (
-            stats.histogram.total_fraction - stats.histogram.mass_le(x)
-        )
+    else:
+        # Values are integers, so "< x" is "<= x - 1", and ">= x" is its complement.
+        t = x if op is ComparisonOp.LE or op is ComparisonOp.GT else x - 1
+        mcv, hist = stats.mcv.mass_le(t), stats.histogram.mass_le(t)
+        if op is ComparisonOp.LE or op is ComparisonOp.LT:
+            sel = mcv + hist
+        else:
+            sel = (stats.mcv.total - mcv) + (stats.histogram.total_fraction - hist)
     return _clamp(sel)
 
 

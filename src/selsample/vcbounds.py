@@ -227,10 +227,7 @@ def sample_size_eps(spec: SampleSizeSpec) -> int:
     The result is clamped to the population size when one is given.
     """
     size = math.ceil((spec.c / spec.epsilon**2) * (spec.d + math.log(1.0 / spec.delta)))
-    size = max(1, int(size))
-    if spec.population is not None:
-        size = min(size, spec.population)
-    return size
+    return _clamped(size, spec)
 
 
 @_in_float_range
@@ -246,7 +243,10 @@ def sample_size_rel(spec: SampleSizeSpec) -> int:
         (spec.c_prime / (spec.epsilon**2 * spec.p))
         * (spec.d * math.log(1.0 / spec.p) + math.log(1.0 / spec.delta))
     )
-    size = max(1, int(size))
-    if spec.population is not None:
-        size = min(size, spec.population)
-    return size
+    return _clamped(size, spec)
+
+
+def _clamped(size: int, spec: SampleSizeSpec) -> int:
+    """A sample size of at least 1, and at most the population when one is given."""
+    size = max(1, size)
+    return size if spec.population is None else min(size, spec.population)

@@ -64,6 +64,11 @@ class TestGenData:
         )
         assert code == 2
 
+    def test_cov_needs_three_values(self, tmp_path, capsys):
+        argv = ["gen-data", "--kind", "correlated", "--rows", "10", "--cov", "1,2", "--out", str(tmp_path / "x.csv")]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == "error: --cov takes three values: var1,cov12,var2\n"
+
     def test_deterministic_bytes(self, tmp_path):
         args = [
             "gen-data", "--kind", "uniform", "--rows", "100", "--cols", "2",
@@ -186,6 +191,10 @@ class TestBoundsAndSampleSize:
     def test_sample_size_needs_inputs(self):
         assert run(["sample-size"]) == 2
 
+    def test_d_override_must_be_positive(self, capsys):
+        assert run(["sample-size", "--d-override", "0"]) == 2
+        assert capsys.readouterr().err == "error: --d-override must be positive\n"
+
     def test_sample_size_text_with_population(self, capsys):
         assert run(["sample-size", "--d-override", "16", "--population", "500"]) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -283,7 +292,28 @@ class TestEstimate:
                 "--domain-lo", "0", "--domain-hi", "10"]
         assert run(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {manifest}: row ") and "outside domain [0, 10]" in err
+        assert err.startswith(f"error: {manifest}: t.sample.csv: row ") and "outside domain [0, 10]" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("route", ["sidecar", "csv"])
+    def test_domain_error_names_the_table_file(self, tmp_path, uniform_csv, capsys, route):
+        # Only the second table's sample holds values outside [0, 10].
+        small = tmp_path / "small.csv"
+        run(["gen-data", "--kind", "uniform", "--rows", "50", "--domain-lo", "0", "--domain-hi", "10",
+             "--out", str(small)])
+        sample_dir = tmp_path / "s2"
+        run(["build-sample", "--table", str(small), "--table", str(uniform_csv), "--size", "50", "--seed", "1",
+             "--out", str(sample_dir)])
+        if route == "csv":
+            for sidecar in sample_dir.glob("*.bin"):
+                sidecar.unlink()
+        manifest = sample_dir / "manifest.json"
+        capsys.readouterr()
+        argv = ["estimate", "--query", "SELECT * FROM small WHERE small.C1 < 5", "--sample", str(manifest),
+                "--domain-lo", "0", "--domain-hi", "10"]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {manifest}: t.sample.csv: row ") and "outside domain [0, 10]" in err
         assert err.count("\n") == 1
 
     def test_stdout_csv(self, tmp_path, uniform_csv, capsys):
@@ -425,7 +455,7 @@ class TestEstimate:
             want = f"error: {path}: sampleindex values must be exactly 1..8 with no repeats\n"
         else:
             manifest.write_text(manifest.read_text().replace('"base": "t"', '"base": "t-1"'))
-            want = f"error: {manifest}: invalid table name: 't-1'\n"
+            want = f"error: {manifest}: t.sample.csv: invalid table name: 't-1'\n"
         capsys.readouterr()
         code = run(["estimate", "--query", "SELECT * FROM t WHERE t.C1 < 5", "--sample", str(manifest)])
         assert code == 2

@@ -108,6 +108,17 @@ class TestExecutePlan:
         with pytest.raises(LookupError, match=r"^join condition A\.C1 = C\.C1 does not connect the two subplans$"):
             run(tables, plan)
 
+    @pytest.mark.parametrize("run", [execute_plan, exact_cardinality])
+    def test_table_read_twice(self, run):
+        tables = [make_table(name, [(0, 0)]) for name in "AB"]
+        plan = JoinNode(
+            join_plan(),
+            SelectLeaf("A", None),
+            JoinCondition(ColumnRef("B", "C2"), ColumnRef("A", "C2"), EQ),
+        )
+        with pytest.raises(ValueError, match="^a table appears twice in the plan; self-joins are not supported$"):
+            run(tables, plan)
+
 
 class TestExecuteRandomized:
     def test_matches_brute_force_on_small_instances(self):

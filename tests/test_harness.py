@@ -83,6 +83,10 @@ class TestGenerateWorkload:
         with pytest.raises(ValueError, match="two tables"):
             generate_workload(WorkloadSpec(m=1, b=1, kind="join-pair"), [A100])
 
+    def test_no_tables(self):
+        with pytest.raises(ValueError, match="^workload generation needs at least one table$"):
+            generate_workload(WorkloadSpec(m=1, b=1), [])
+
     def test_join_pair_needs_a_shared_column(self):
         other = Table("X", [ColumnMeta("D1")], [(1,), (2,)])
         with pytest.raises(ValueError, match="^tables 'A' and 'X' share no column name to join on$"):
@@ -188,6 +192,10 @@ class TestRunExperiment:
             run_experiment([T100], workload, [], 0.05, ["indexed"], seed=1)
         with pytest.raises(ValueError, match="workload"):
             run_experiment([T100], [], [5], 0.05, ["indexed"], seed=1)
+
+    def test_no_methods(self):
+        with pytest.raises(ValueError, match="^no methods requested$"):
+            run_experiment([T100], [SelectLeaf("T", None)], [5], 0.05, [], seed=1)
 
     def test_repeated_sample_size_rejected(self):
         workload = [SelectLeaf("T", None)]

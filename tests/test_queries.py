@@ -108,6 +108,7 @@ class TestParseErrors:
             ("SELECT * FROM A, B WHERE A.C1 = B.C1 AND A.C1 = B.C2", "join condition"),
             ("SELECT * FROM A, B WHERE A.C1 >= 5 OR B.C1 >= 5", "multiple tables"),
             ("SELECT * FROM B WHERE A.C1 >= 5", "not listed in FROM"),
+            ("SELECT * FROM T WHERE X.C1 < 5", "unknown table 'X'"),
         ],
     )
     def test_error_cases(self, text, match):
@@ -247,6 +248,10 @@ class TestClassParams:
             ClassParams(u=1, m=3, b=2)
         with pytest.raises(ValueError):
             ClassParams(u=1, m=1, b=0)
+
+    def test_negative_m_rejected(self):
+        with pytest.raises(ValueError, match="^m and b must be non-negative$"):
+            ClassParams(1, -1, 2)
 
 
 class TestSubplans:

@@ -187,6 +187,56 @@ class TestEstimateClause:
         assert est == pytest.approx(exact, abs=0.05)
 
 
+def _reference_inequality(stats, clause):
+    """The four inequality estimates as written when `MCVList` still had a
+    `mass_lt`, kept verbatim (with that method as a local function)."""
+
+    def mass_lt(x):
+        return sum(f for v, f in stats.mcv.entries if v < x)
+
+    x = clause.constant
+    op = clause.op
+    if op is ComparisonOp.LE:
+        sel = stats.mcv.mass_le(x) + stats.histogram.mass_le(x)
+    elif op is ComparisonOp.LT:
+        sel = mass_lt(x) + stats.histogram.mass_le(x - 1)
+    elif op is ComparisonOp.GE:
+        sel = (stats.mcv.total - mass_lt(x)) + (
+            stats.histogram.total_fraction - stats.histogram.mass_le(x - 1)
+        )
+    else:  # GT
+        sel = (stats.mcv.total - stats.mcv.mass_le(x)) + (
+            stats.histogram.total_fraction - stats.histogram.mass_le(x)
+        )
+    return min(1.0, max(0.0, sel))
+
+
+class TestInequalityEstimatesMatchTheReference:
+    def test_bit_for_bit_on_random_columns(self):
+        rng = np.random.default_rng(15)
+        for trial in range(200):
+            n = int(rng.integers(1, 500))
+            lo = int(rng.integers(-100, 100))
+            width = int(rng.integers(0, 300))
+            if trial % 2:  # skewed: a few small values carry most rows
+                values = lo + np.minimum(rng.zipf(1.5, n) - 1, width)
+            else:
+                values = rng.integers(lo, lo + width + 1, n)
+            table = Table("T", [ColumnMeta("A", Domain(lo, lo + width))], values.reshape(-1, 1))
+            buckets, mcv = int(rng.integers(1, 51)), int(rng.integers(0, 31))
+            st = build_stats(table, buckets, mcv).get("T", "A")
+            vmin, vmax = int(values.min()), int(values.max())
+            # Inside, at and just beyond the column's range, and at each bucket boundary.
+            constants = {vmin - 2, vmin - 1, vmin, vmin + 1, vmax - 1, vmax, vmax + 1, vmax + 2}
+            constants.update(rng.integers(vmin, vmax + 1, 8).tolist())
+            constants.update(st.histogram.boundaries)
+            for x in sorted(constants):
+                for op in (ComparisonOp.LT, LE, ComparisonOp.GT, GE):
+                    clause = SelectionClause("A", op, x)
+                    got, want = estimate_clause(st, clause), _reference_inequality(st, clause)
+                    assert got.hex() == want.hex(), (trial, buckets, mcv, op, x)
+
+
 class TestEstimatePredicate:
     def test_and_is_product(self):
         t = make_table("T", [(i % 2, i % 4) for i in range(16)], domain=(0, 3))
@@ -273,6 +323,12 @@ class TestEstimateJoin:
         assert estimate_join(cat, SelectLeaf("T", clause)) == estimate_predicate(
             cat, "T", clause
         )
+
+
+class TestStatsCatalog:
+    def test_negative_mcv_capacity_rejected(self):
+        with pytest.raises(ValueError, match="^MCV capacity must be non-negative$"):
+            StatsCatalog(10, -1)
 
 
 class TestDumpLoad:

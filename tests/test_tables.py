@@ -69,6 +69,14 @@ class TestTable:
         with pytest.raises(ValueError, match="cannot infer domains of an empty table"):
             Table("T", [ColumnMeta("C1", Domain(0, 1)), ColumnMeta("C2")], [])
 
+    def test_invalid_column_name_rejected(self):
+        with pytest.raises(ValueError, match="^invalid column name: '1C'$"):
+            ColumnMeta("1C")
+
+    def test_no_columns_rejected(self):
+        with pytest.raises(ValueError, match="^a table needs at least one column$"):
+            Table("T", [], [])
+
     def test_duplicate_columns_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             Table("T", [ColumnMeta("C1", Domain(0, 1)), ColumnMeta("C1", Domain(0, 1))], [])
@@ -223,6 +231,10 @@ class TestCorrelatedGenerator:
         a = generate_correlated_table("T", 300, 1e5, cov, Domain(0, 200000), seed=5)
         b = generate_correlated_table("T", 300, 1e5, cov, Domain(0, 200000), seed=5)
         assert a == b
+
+    def test_negative_row_count_rejected(self):
+        with pytest.raises(ValueError, match="^row count must be non-negative$"):
+            generate_correlated_table("T", -1, 0.0, [[1.0, 0.0], [0.0, 1.0]], Domain(0, 10), seed=0)
 
     def test_non_positive_definite_rejected(self):
         with pytest.raises(ValueError, match="positive-definite"):

@@ -255,6 +255,46 @@ def test_value_beyond_float_range_raises_value_error(formula):
         formula()
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: bound_select_boolean(2, 2, log_base=1.0), "log base must be greater than 1"),
+        (lambda: SampleSizeSpec(epsilon=0.05, delta=0.05, d=1, c_prime=0.0), "c_prime must be positive"),
+        (lambda: SampleSizeSpec(epsilon=0.05, delta=0.05, d=0), "d must be positive"),
+        (lambda: SampleSizeSpec(epsilon=0.05, delta=0.05, d=1, p=1.0), r"p must be in \(0, 1\)"),
+        (lambda: SampleSizeSpec(epsilon=0.05, delta=0.05, d=1, population=0), "population must be at least 1"),
+        (lambda: bound_boolean_combination(2, 0), "combination size h must be at least 1"),
+        (lambda: bound_select_boolean(0, 1), "m must be at least 1"),
+        (lambda: bound_select_boolean(1, 0), "b must be at least 1"),
+        (lambda: bound_multi_join(1, [2]), "multi-join bound needs at least two tables"),
+        (lambda: bound_multi_join(3, [2, 2]), "expected 3 per-table dimensions, got 2"),
+        (lambda: bound_multi_join(2, [2, 1]), "per-table dimensions must be at least 2"),
+        (lambda: bound_general(0, 1, 1), "u must be at least 1"),
+        (lambda: bound_general(2, 0, 1), "m must be at least 1"),
+        (lambda: bound_general(2, 1, 0), "b must be at least 1"),
+    ],
+    ids=[
+        "log base 1",
+        "c_prime 0",
+        "d 0",
+        "p 1",
+        "population 0",
+        "combination h 0",
+        "select_boolean m 0",
+        "select_boolean b 0",
+        "multi_join u 1",
+        "multi_join dims length",
+        "multi_join dim 1",
+        "general u 0",
+        "general m 0",
+        "general b 0",
+    ],
+)
+def test_argument_check_raises(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 class TestSampleSizeRel:
     def test_hand_arithmetic_value(self):
         # ceil(400 * (2*ln 2 + ln 20)) = ceil(400 * 4.38176...) = 1753
