@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import sys
+import warnings
 from pathlib import Path
 
 from .execution import estimate_all_nodes
@@ -24,7 +25,7 @@ from .harness import (
     run_experiment,
     write_experiment_csv,
 )
-from .queries import parse_query
+from .queries import SchemaWarning, parse_query
 from .sampling import create_sample, load_sample, save_sample
 from .stats import StatsCatalog, build_stats, dump_stats
 from .tables import (
@@ -168,7 +169,15 @@ def cmd_estimate(args) -> int:
     exact_tables = _load_tables(args.exact_against, domain) if args.exact_against else None
     # Without --exact-against the sample is the catalog: its domains are
     # --domain-lo/--domain-hi, or span its values.
-    plan = parse_query(args.query, exact_tables or sdb.tables)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", SchemaWarning)
+        try:
+            plan = parse_query(args.query, exact_tables or sdb.tables)
+        finally:
+            # One line per distinct message, as Python's default filter
+            # showed them, without the file, line and source it printed.
+            for message in dict.fromkeys(str(w.message) for w in caught):
+                print(f"warning: {message}", file=sys.stderr)
     records = estimate_all_nodes(sdb, plan, db=exact_tables)
     text = per_query_csv([(0, r) for r in records])
     if args.out:

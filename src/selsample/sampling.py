@@ -8,14 +8,13 @@ base tables, which is what the selectivity estimators count against.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .tables import ColumnMeta, Domain, Table, read_int_csv, write_int_csv
+from .tables import ColumnMeta, Domain, Table, read_int_csv, read_sidecar, write_int_csv, write_sidecar
 
 __all__ = [
     "SampleTable",
@@ -24,8 +23,6 @@ __all__ = [
     "save_sample",
     "load_sample",
 ]
-
-_DIGEST_BYTES = 32  # SHA-256
 
 
 class SampleTable(Table):
@@ -90,11 +87,10 @@ def save_sample(sampledb: SampleDatabase, out_dir: str | Path) -> Path:
     """Persist a sample database as one CSV per table plus a manifest.json.
 
     Sample CSVs carry sampleindex as the leading column. Beside each CSV goes
-    a binary sidecar, the CSV's name plus ".bin": a SHA-256 digest of the
-    CSV's bytes followed by the payload, then the payload itself, the s x k
-    sample matrix as little-endian int64 in column-major order. load_sample
-    reads a table from its sidecar when the two still match, and from the CSV
-    otherwise. Returns the manifest path.
+    its binary sidecar (see tables.read_sidecar), the CSV's name plus ".bin",
+    which holds the s x k sample matrix without the sampleindex column.
+    load_sample reads a table from its sidecar when the two still match, and
+    from the CSV otherwise. Returns the manifest path.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -103,25 +99,12 @@ def save_sample(sampledb: SampleDatabase, out_dir: str | Path) -> Path:
         fname = f"{st.name}.sample.csv"
         tagged = np.column_stack((np.arange(1, st.row_count + 1, dtype=np.int64), st.matrix()))
         csv = write_int_csv(out / fname, ("sampleindex", *st.column_names), tagged)
-        payload = st.matrix().astype("<i8", copy=False).tobytes(order="F")
-        _sidecar(out / fname).write_bytes(_digest(csv, payload) + payload)
+        write_sidecar(out / fname, csv, st.matrix())
         entries.append({"base": st.name, "file": fname, "columns": list(st.column_names)})
     manifest = {"size": sampledb.size, "seed": sampledb.seed, "tables": entries}
     manifest_path = out / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", newline="\n")
     return manifest_path
-
-
-def _sidecar(csv_path: Path) -> Path:
-    """The binary copy written beside a sample CSV."""
-    return csv_path.with_name(csv_path.name + ".bin")
-
-
-def _digest(csv: bytes, payload: bytes | memoryview) -> bytes:
-    """SHA-256 over a sample CSV's bytes followed by its sidecar's payload."""
-    h = hashlib.sha256(csv)
-    h.update(payload)
-    return h.digest()
 
 
 def _read_manifest(mp: Path) -> tuple[int, int, list[dict]]:
@@ -169,13 +152,13 @@ def _read_manifest(mp: Path) -> tuple[int, int, list[dict]]:
 def load_sample(manifest_path: str | Path, domain: Domain | None = None) -> SampleDatabase:
     """Load a sample database previously written by save_sample.
 
-    Each table comes from its sidecar (see save_sample) when all of these
-    hold: the sidecar holds a digest and size x k int64 values, for the
-    manifest's size and its k columns; the CSV's header is sampleindex and
-    the manifest's columns; and the digest matches the CSV's bytes and the
-    payload. A matching digest shows that save_sample wrote this CSV and this
-    payload together, so the CSV's sampleindex runs 1..size in order and its
-    rows are the payload's, without parsing it.
+    Each table comes from its sidecar (see save_sample) when
+    tables.read_sidecar takes it, with the CSV's header sampleindex and the
+    manifest's columns, and the sidecar's matrix is size x k, for the
+    manifest's size and its k columns. The sidecar's digest then shows that
+    save_sample wrote this CSV and this matrix together, so the CSV's
+    sampleindex runs 1..size in order and its rows are the matrix's, without
+    parsing it.
 
     Any other table is read from its CSV: a missing, short, stale or edited
     sidecar, or a sample written by hand. Its sampleindex values must be
@@ -192,8 +175,10 @@ def load_sample(manifest_path: str | Path, domain: Domain | None = None) -> Samp
     tables = []
     for entry in entries:
         path = mp.parent / entry["file"]
-        rows = _read_sidecar(path, entry["columns"], size)
-        if rows is None:
+        read = read_sidecar(path, ["sampleindex", *entry["columns"]])
+        if read is not None and read[1].shape == (size, len(entry["columns"])):
+            rows = read[1]
+        else:
             rows = _read_sample_csv(path, entry["columns"], size)
         try:
             tables.append(SampleTable(entry["base"], [ColumnMeta(c, domain) for c in entry["columns"]], rows))
@@ -203,25 +188,6 @@ def load_sample(manifest_path: str | Path, domain: Domain | None = None) -> Samp
         return SampleDatabase(size, seed, tables)
     except ValueError as exc:
         raise ValueError(f"{mp}: {exc}") from None
-
-
-def _read_sidecar(path: Path, columns: list[str], size: int) -> np.ndarray | None:
-    """The (size, len(columns)) sample matrix from the sidecar of CSV file
-    path, or None where the CSV route must read the table."""
-    try:
-        sidecar = _sidecar(path).read_bytes()
-        if len(sidecar) != _DIGEST_BYTES + 8 * size * len(columns):
-            return None
-        csv = path.read_bytes()
-    except OSError:
-        return None
-    header = ",".join(["sampleindex", *columns]) + "\n"
-    if not header.isascii() or not csv.startswith(header.encode()):
-        return None
-    payload = memoryview(sidecar)[_DIGEST_BYTES:]
-    if sidecar[:_DIGEST_BYTES] != _digest(csv, payload):
-        return None
-    return np.frombuffer(payload, dtype="<i8").reshape((size, len(columns)), order="F")
 
 
 def _read_sample_csv(path: Path, columns: list[str], size: int) -> np.ndarray:

@@ -11,11 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_table, sample_table
-from selsample import sampling
 from selsample.execution import estimate_all_nodes
 from selsample.queries import parse_query
 from selsample.sampling import SampleDatabase, SampleTable, create_sample, load_sample, save_sample
-from selsample.tables import ColumnMeta, CsvFormatError, Domain, Table
+from selsample.tables import ColumnMeta, CsvFormatError, Domain, Table, read_sidecar
 
 
 class TestCreateSample:
@@ -415,6 +414,13 @@ def _flip_payload_byte(d: Path) -> None:
     p.write_bytes(bytes(data))
 
 
+def _earlier_format(d: Path) -> None:
+    # The sidecar as first written: SHA-256 over the CSV and the payload, then the payload.
+    p = d / "A.sample.csv.bin"
+    payload = p.read_bytes()[24:-32]
+    p.write_bytes(hashlib.sha256((d / "A.sample.csv").read_bytes() + payload).digest() + payload)
+
+
 def _reorder_rows(d: Path) -> None:
     p = d / "A.sample.csv"
     header, *lines = p.read_text().splitlines()
@@ -442,18 +448,21 @@ class TestSidecar:
             manifest = save_sample(sdb, Path(d))
             for t in sdb.tables:
                 path = Path(d) / f"{t.name}.sample.csv"
-                assert np.array_equal(sampling._read_sidecar(path, list(t.column_names), sdb.size), t.matrix())
+                names, m = read_sidecar(path, ["sampleindex", *t.column_names])
+                assert names == ["sampleindex", *t.column_names] and np.array_equal(m, t.matrix())
             assert _loaded(manifest) == _csv_route(manifest) == _as_loaded(sdb)
 
     def test_sidecar_layout(self, tmp_path):
         sdb = create_sample(2, [make_table("T", [(6, -7)], domain=(-10, 10))], seed=0)
         save_sample(sdb, tmp_path)
         data = (tmp_path / "T.sample.csv.bin").read_bytes()
+        # The tag, the shape (2, 2), the payload without sampleindex, the digest.
+        head = b"SELSBIN1" + bytes([2] + [0] * 7 + [2] + [0] * 7)
         payload = np.array([6, 6, -7, -7], dtype="<i8").tobytes()
-        assert data[32:] == payload
+        assert data[:-32] == head + payload
         csv = b"sampleindex,C1,C2\n1,6,-7\n2,6,-7\n"
         assert (tmp_path / "T.sample.csv").read_bytes() == csv
-        assert data[:32] == hashlib.sha256(csv + payload).digest()
+        assert data[-32:] == hashlib.sha256(csv + head + payload).digest()
 
     @pytest.mark.parametrize(
         "edit,message",
@@ -461,6 +470,7 @@ class TestSidecar:
             (lambda d: (d / "A.sample.csv.bin").unlink(), None),
             (lambda d: (d / "A.sample.csv.bin").write_bytes((d / "A.sample.csv.bin").read_bytes()[:-8]), None),
             (_flip_payload_byte, None),
+            (_earlier_format, None),
             (_reorder_rows, None),
             (_edit_manifest("size", 41), "A.sample.csv: sampleindex values must be exactly 1..41 with no repeats"),
             (
@@ -468,7 +478,15 @@ class TestSidecar:
                 "A.sample.csv: header mismatch: expected 'sampleindex,C2,C1', got 'sampleindex,C1,C2'",
             ),
         ],
-        ids=["deleted", "truncated", "payload byte flipped", "rows reordered", "size edited", "columns edited"],
+        ids=[
+            "deleted",
+            "truncated",
+            "payload byte flipped",
+            "earlier format",
+            "rows reordered",
+            "size edited",
+            "columns edited",
+        ],
     )
     def test_mismatched_sidecar_takes_the_csv_route(self, tmp_path, edit, message):
         rng = np.random.default_rng(5)

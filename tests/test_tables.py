@@ -1,11 +1,17 @@
 """relation layer: domains, CSV ingestion/export, synthetic generators."""
 
+import hashlib
 import os
+import shutil
+import struct
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import sample_table
 from selsample import sampling, tables
@@ -415,23 +421,30 @@ class TestReaderRoutes:
                 assert whole[1].shape == rows[1].shape == (n, k)
                 assert np.array_equal(whole[1], rows[1]) and np.array_equal(whole[1], want)
 
-    def test_written_files_take_the_whole_file_route(self, tmp_path, monkeypatch):
-        # Without this, a silent fallback would keep every other test green.
-        # Base tables take the whole-file route; sample tables, their sidecars.
+    @staticmethod
+    def _spy_routes(monkeypatch) -> dict[str, list[bool]]:
+        """Record, per route, whether each read through it gave a table."""
         routes = {"whole": [], "sidecar": []}
 
-        def spy(module, name, route):
-            read = getattr(module, name)
+        def spy(modules, name, route):
+            read = getattr(modules[0], name)
 
             def spied(*args):
                 result = read(*args)
                 routes[route].append(result is not None)
                 return result
 
-            monkeypatch.setattr(module, name, spied)
+            for module in modules:
+                monkeypatch.setattr(module, name, spied)
 
-        spy(tables, "_read_whole", "whole")
-        spy(sampling, "_read_sidecar", "sidecar")
+        spy([tables], "_read_whole", "whole")
+        spy([tables, sampling], "read_sidecar", "sidecar")
+        return routes
+
+    def test_written_files_take_the_sidecar_route(self, tmp_path, monkeypatch):
+        # Without this, a silent fallback would keep every other test green.
+        # Base and sample tables that selsample wrote take their sidecars.
+        routes = self._spy_routes(monkeypatch)
         t = generate_uniform_table("t", 500, 3, Domain(-50, 10**12), seed=4)
         save_csv(t, tmp_path / "t.csv")
         assert np.array_equal(read_csv(tmp_path / "t.csv").matrix(), t.matrix())
@@ -440,7 +453,17 @@ class TestReaderRoutes:
         loaded = load_sample(save_sample(sdb, tmp_path / "s"))
         for st in sdb.tables:
             assert np.array_equal(sample_table(loaded, st.name).matrix(), st.matrix())
-        assert routes == {"whole": [True] * 2, "sidecar": [True] * 2}
+        assert routes == {"whole": [], "sidecar": [True] * 4}
+
+    def test_written_files_take_the_whole_file_route(self, tmp_path, monkeypatch):
+        # A written base table whose sidecar is gone is read whole, not row by row.
+        routes = self._spy_routes(monkeypatch)
+        t = generate_uniform_table("t", 500, 3, Domain(-50, 10**12), seed=4)
+        save_csv(t, tmp_path / "t.csv")
+        (tmp_path / "t.csv.bin").unlink()
+        assert np.array_equal(read_csv(tmp_path / "t.csv").matrix(), t.matrix())
+        assert read_csv(tmp_path / "t.csv", domain=Domain(-50, 10**12)) == t
+        assert routes == {"whole": [True] * 2, "sidecar": [False] * 2}
 
     @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
     def test_plain_file_with_a_compression_suffix(self, tmp_path, suffix):
@@ -504,6 +527,158 @@ class TestReaderRoutes:
             assert tables._read_whole(p, None) is None
 
 
+def _sidecar_bytes(csv: bytes, m: np.ndarray, tag: bytes = b"SELSBIN1", shape=None, order="F") -> bytes:
+    """A sidecar laid out by the format, with a matching digest: the tag, the
+    shape (n, k) as two little-endian uint64, the matrix as little-endian
+    int64, then SHA-256 over the CSV's bytes and everything before it."""
+    body = tag + struct.pack("<QQ", *(m.shape if shape is None else shape)) + m.astype("<i8").tobytes(order=order)
+    return body + hashlib.sha256(csv + body).digest()
+
+
+def _forge(p: Path, m: np.ndarray, **layout) -> Path:
+    p.with_name(p.name + ".bin").write_bytes(_sidecar_bytes(p.read_bytes(), m, **layout))
+    return p
+
+
+def _read(p: Path, domain: Domain | None = None):
+    """read_csv's table, or the type and text of its error."""
+    try:
+        return read_csv(p, domain)
+    except (ValueError, OSError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _csv_route(p: Path, domain: Domain | None = None):
+    """What read_csv gives with the sidecar deleted."""
+    p.with_name(p.name + ".bin").unlink(missing_ok=True)
+    return _read(p, domain)
+
+
+@st.composite
+def _saved_tables(draw):
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(0, 12))
+    cells = st.one_of(
+        st.sampled_from(_EXTREMES), st.integers(-1000, -1), st.integers(INT64_MIN, INT64_MAX)
+    )
+    return _full_range_table(np.array(draw(st.lists(cells, min_size=n * k, max_size=n * k)), dtype=np.int64).reshape(n, k))
+
+
+def _full_range_table(m: np.ndarray) -> Table:
+    return Table("t", [ColumnMeta(f"C{j + 1}", Domain(INT64_MIN, INT64_MAX)) for j in range(m.shape[1])], m)
+
+
+_T = np.array([[-100, 7], [3, -4], [100, 0], [-1, 55]], dtype=np.int64)
+
+
+def _edit_cell(d: Path) -> Path:
+    p = d / "t.csv"
+    p.write_text(p.read_text().replace("\n3,-4\n", "\n3,-5\n"))
+    return p
+
+
+def _truncate_sidecar(d: Path) -> Path:
+    (d / "t.csv.bin").write_bytes((d / "t.csv.bin").read_bytes()[:-8])
+    return d / "t.csv"
+
+
+def _sidecar_of(name: str):
+    def copy(d: Path) -> Path:
+        shutil.copyfile(d / f"{name}.csv.bin", d / "t.csv.bin")
+        return d / "t.csv"
+
+    return copy
+
+
+def _earlier_sidecar_format(d: Path) -> Path:
+    # The sample sidecar's earlier format: SHA-256 over the CSV and the payload, then the payload.
+    p = d / "t.csv"
+    payload = _T.astype("<i8").tobytes(order="F")
+    (d / "t.csv.bin").write_bytes(hashlib.sha256(p.read_bytes() + payload).digest() + payload)
+    return p
+
+
+def _invalid_header(d: Path) -> Path:
+    p = d / "t.csv"
+    p.write_text(p.read_text().replace("C1,C2", "C1,2x", 1))
+    return _forge(p, _T)
+
+
+def _sample_csv(name: str):
+    def copy(d: Path) -> Path:
+        for suffix in ("", ".bin"):
+            shutil.copyfile(d / "s" / f"t.sample.csv{suffix}", d / f"{name}{suffix}")
+        return d / name
+
+    return copy
+
+
+class TestSidecar:
+    """save_csv's binary sidecar against the CSV it stands for."""
+
+    @given(_saved_tables())
+    @example(_full_range_table(np.zeros((0, 2), np.int64)))
+    @settings(max_examples=60, deadline=None)
+    def test_sidecar_route_equals_csv_route(self, t):
+        with tempfile.TemporaryDirectory() as d:
+            p = Path(d) / "t.csv"
+            save_csv(t, p)
+            assert (Path(d) / "t.csv.bin").read_bytes() == _sidecar_bytes(p.read_bytes(), t.matrix())
+            names, m = tables.read_sidecar(p)
+            assert names == list(t.column_names) and np.array_equal(m, t.matrix())
+            domains = (None, Domain(INT64_MIN, INT64_MAX))
+            via_sidecar = [_read(p, domain) for domain in domains]
+            assert via_sidecar == [_csv_route(p, domain) for domain in domains]
+            assert via_sidecar[1] == t
+            if t.row_count == 0:
+                assert via_sidecar[0] == (
+                    "CsvFormatError", f"{p}: cannot infer domains of an empty table; supply a domain"
+                )
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            _edit_cell,
+            _truncate_sidecar,
+            _sidecar_of("v"),
+            _sidecar_of("u"),
+            _earlier_sidecar_format,
+            # Another format's tag over a row-major payload, with a matching digest.
+            lambda d: _forge(d / "t.csv", _T, tag=b"SELSBIN2", order="C"),
+            lambda d: _forge(d / "t.csv", _T[:-1], shape=_T.shape),
+            _invalid_header,
+            lambda d: d / "s" / "t.sample.csv",
+            _sample_csv("ts.csv"),
+        ],
+        ids=[
+            "edited CSV",
+            "truncated sidecar",
+            "sidecar of another table",
+            "sidecar of another shape",
+            "earlier sample sidecar format",
+            "another format tag",
+            "shape beyond the payload",
+            "invalid header",
+            "sample CSV",
+            "sample CSV under a table name",
+        ],
+    )
+    def test_mismatched_sidecar_takes_the_csv_route(self, tmp_path, edit):
+        for name, m in (("t", _T), ("v", _T[::-1] * 2), ("u", np.arange(12).reshape(4, 3))):
+            save_csv(Table(name, [ColumnMeta(f"C{j + 1}") for j in range(m.shape[1])], m), tmp_path / f"{name}.csv")
+        save_sample(create_sample(6, [read_csv(tmp_path / "t.csv")], seed=3), tmp_path / "s")
+        p = edit(tmp_path)
+        assert _read(p) == _csv_route(p)
+
+    def test_sidecar_without_its_csv(self, tmp_path):
+        p = tmp_path / "t.csv"
+        save_csv(Table("t", SCHEMA_0_10, [(1, 2)]), p)
+        p.unlink()
+        with pytest.raises(FileNotFoundError) as exc:
+            read_csv(p)
+        assert str(exc.value) == f"no such CSV file: {p}"
+
+
 class TestImmutable:
     def test_matrix_and_columns_are_read_only(self):
         t = Table("T", SCHEMA_0_10, [(1, 2), (3, 4)])
@@ -540,6 +715,7 @@ class TestImmutable:
         correlated = generate_correlated_table("R", 40, 50.0, cov, dom, seed=3)
         draws = np.random.default_rng(3).multivariate_normal([50.0, 50.0], cov, size=40, method="cholesky")
         correlated_rows = np.clip(np.rint(draws), 0, 100).astype(np.int64).tolist()
+        save_csv(Table("V", SCHEMA_0_10, rows), tmp_path / "V.csv")
         sdb = create_sample(7, [uniform, correlated], seed=5)
         rng = np.random.default_rng(5)
         sample_rows = [
@@ -552,6 +728,7 @@ class TestImmutable:
             (Table("T", SCHEMA_0_10, np.array(rows, order="F")), rows),
             (read_csv(tmp_path / "T.csv"), rows),
             (read_csv(tmp_path / "T.csv", domain=Domain(0, 10)), rows),
+            (read_csv(tmp_path / "V.csv"), rows),
             (uniform, uniform_rows),
             (correlated, correlated_rows),
             *zip(sdb.tables, sample_rows),
