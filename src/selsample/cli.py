@@ -25,12 +25,13 @@ from .harness import (
     run_experiment,
     write_experiment_csv,
 )
-from .queries import SchemaWarning, parse_query
+from .queries import SchemaWarning, class_params, parse_query
 from .sampling import create_sample, load_sample, save_sample
 from .stats import StatsCatalog, build_stats, dump_stats
 from .tables import (
     Domain,
     Table,
+    by_name,
     generate_correlated_table,
     generate_uniform_table,
     read_csv,
@@ -48,11 +49,8 @@ def _parse_domain(args) -> Domain | None:
 
 
 def _load_tables(paths: list[str], domain: Domain | None) -> list[Table]:
-    return [read_csv(p, domain=domain) for p in paths]
-
-
-def _int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part]
+    """The tables of the CSV files, named after them; a repeated name is an error."""
+    return list(by_name(read_csv(p, domain=domain) for p in paths).values())
 
 
 def cmd_gen_data(args) -> int:
@@ -196,10 +194,10 @@ def cmd_experiment(args) -> int:
     workload = generate_workload(spec, tables)
     methods = [m for m in args.methods.split(",") if m]
     if args.sizes:
-        sizes = _int_list(args.sizes)
+        sizes = [int(part) for part in args.sizes.split(",") if part]
     else:
-        u = 2 if args.kind == "join-pair" else 1
-        d = bound_general(u, args.workload_m, args.workload_b, args.log_base).dimension
+        params = class_params(*workload)
+        d = bound_general(params.u, params.m, params.b, args.log_base).dimension
         sizes = [sample_size_eps(SampleSizeSpec(epsilon=args.epsilon, delta=args.delta, d=d))]
     result = run_experiment(
         tables,

@@ -69,7 +69,7 @@ from .queries import (
     subplans,
 )
 from .sampling import SampleDatabase
-from .tables import _INT64_MAX, _INT64_MIN, Domain, Table
+from .tables import _INT64_MAX, _INT64_MIN, Domain, Table, by_name
 
 __all__ = [
     "ResultSet",
@@ -128,9 +128,9 @@ def _frames(tables: Sequence[Table], plan: QueryPlan) -> dict[str, Table]:
 
     `tables` are base tables, or a sample database's `tables`: a sample table
     is a Table stored in sampleindex order, so row i of every sample table
-    belongs to the same aligned draw.
+    belongs to the same aligned draw. A name given twice is a ValueError.
     """
-    sources = {t.name: t for t in tables}
+    sources = by_name(tables)
     names = leaf_tables(plan)
     frames = {}
     for name in names:

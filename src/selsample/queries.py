@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Sequence, Union
 
-from .tables import Table
+from .tables import Table, by_name
 
 __all__ = [
     "PREDICATE_LIMIT",
@@ -219,18 +219,20 @@ def leaf_tables(plan: QueryPlan) -> tuple[str, ...]:
     return leaf_tables(plan.left) + leaf_tables(plan.right)
 
 
-def class_params(plan: QueryPlan, *, effective_b: bool = False) -> ClassParams:
-    """Extract (u, m, b) for a plan; a TRUE leaf contributes m=0, b=0."""
-    u = 0
-    m = 0
-    b = 0
-    for node in subplans(plan):
-        if not isinstance(node, SelectLeaf):
-            continue
-        u += 1
-        if node.predicate is not None:
-            m = max(m, len(predicate_columns(node.predicate)))
-            b = max(b, clause_count(node.predicate, effective=effective_b))
+def class_params(*plans: QueryPlan, effective_b: bool = False) -> ClassParams:
+    """The smallest class (u, m, b) holding every plan, the class one sample is
+    sized for: the most select leaves of any plan and the most distinct columns
+    and clauses of any one leaf predicate; a TRUE leaf has m=0, b=0."""
+    if not plans:
+        raise ValueError("class_params needs at least one plan")
+    u = m = b = 0
+    for plan in plans:
+        leaves = [node for node in subplans(plan) if isinstance(node, SelectLeaf)]
+        u = max(u, len(leaves))
+        for leaf in leaves:
+            if leaf.predicate is not None:
+                m = max(m, len(predicate_columns(leaf.predicate)))
+                b = max(b, clause_count(leaf.predicate, effective=effective_b))
     return ClassParams(u=u, m=m, b=b)
 
 
@@ -500,12 +502,12 @@ def _to_boolexpr(node) -> tuple[BoolExpr, set[str], int]:
 
 def parse_query(text: str, tables: Sequence[Table]) -> QueryPlan:
     """Parse a query against a catalog of Tables, found by name, into a
-    left-deep QueryPlan.
+    left-deep QueryPlan. A table name given twice in `tables` is a ValueError.
 
     Select operations are pushed to the leaves; AND binds tighter than OR;
     parentheses are honored.
     """
-    parser = _Parser(text, {t.name: t for t in tables})
+    parser = _Parser(text, by_name(tables))
     try:
         return parser.parse()
     finally:

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .tables import ColumnMeta, Domain, Table, read_int_csv, read_sidecar, write_int_csv, write_sidecar
+from .tables import ColumnMeta, Domain, Table, by_name, read_int_csv, read_sidecar, write_int_csv, write_sidecar
 
 __all__ = [
     "SampleTable",
@@ -45,15 +45,12 @@ class SampleTable(Table):
 
 
 class SampleDatabase:
-    """A set of same-size SampleTables over distinct base tables."""
+    """A set of same-size SampleTables over distinct base tables (see tables.by_name)."""
 
     def __init__(self, size: int, seed: int, tables: Sequence[SampleTable]):
-        tables = tuple(tables)
+        tables = tuple(by_name(tables).values())
         if not tables:
             raise ValueError("a sample database needs at least one table")
-        names = [t.name for t in tables]
-        if len(set(names)) != len(names):
-            raise ValueError("sample tables must cover distinct base tables")
         for t in tables:
             if t.row_count != size:
                 raise ValueError(

@@ -21,6 +21,7 @@ __all__ = [
     "Domain",
     "ColumnMeta",
     "Table",
+    "by_name",
     "CsvFormatError",
     "int_matrix",
     "read_int_csv",
@@ -168,6 +169,16 @@ class Table:
     def __repr__(self) -> str:
         cols = ",".join(self.column_names)
         return f"Table({self.name!r}, columns=[{cols}], rows={self.row_count})"
+
+
+def by_name(tables: Iterable[Table]) -> dict[str, Table]:
+    """The tables by name, in the given order; a name given twice is an error."""
+    found: dict[str, Table] = {}
+    for t in tables:
+        if t.name in found:
+            raise ValueError(f"table names must be distinct: {t.name!r} is given more than once")
+        found[t.name] = t
+    return found
 
 
 def int_matrix(rows: np.ndarray | Iterable[Sequence[int]], k: int) -> np.ndarray:

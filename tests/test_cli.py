@@ -17,6 +17,9 @@ def run(argv):
     return main(argv)
 
 
+REPEATED_T = "error: table names must be distinct: 't' is given more than once\n"
+
+
 def assert_one_error_line(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
@@ -152,6 +155,15 @@ class TestBuildStats:
         assert not out.exists()
         assert run(argv + ["10000"]) == 0
         assert out.read_text().startswith("catalog buckets=10000 ")
+
+    def test_repeated_table_name_exits_2(self, tmp_path, uniform_csv, capsys):
+        (tmp_path / "b").mkdir()
+        (tmp_path / "b" / "t.csv").write_bytes(uniform_csv.read_bytes())
+        out = tmp_path / "st.txt"
+        argv = ["build-stats", "--table", str(uniform_csv), "--table", str(tmp_path / "b" / "t.csv")]
+        assert run(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == REPEATED_T
+        assert not out.exists()
 
     def test_value_beyond_int64_exits_2(self, tmp_path, capsys):
         big = tmp_path / "big.csv"
@@ -352,6 +364,20 @@ class TestEstimate:
         line = out.read_text().splitlines()[1]
         exact_field = line.split(",")[3]
         assert exact_field != ""
+
+    def test_repeated_exact_against_name_exits_2(self, tmp_path, uniform_csv, capsys):
+        # Both files give a table named t; neither may silently win.
+        sample_dir = tmp_path / "sample"
+        run(["build-sample", "--table", str(uniform_csv), "--size", "64", "--out", str(sample_dir)])
+        (tmp_path / "b").mkdir()
+        (tmp_path / "b" / "t.csv").write_text("C1,C2\n1000,1000\n")
+        capsys.readouterr()
+        code = run(["estimate", "--query", "SELECT * FROM t WHERE t.C1 >= 50",
+                    "--sample", str(sample_dir / "manifest.json"),
+                    "--exact-against", str(uniform_csv), "--exact-against", str(tmp_path / "b" / "t.csv")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == REPEATED_T and captured.out == ""
 
     def test_exact_against_does_not_carry_into_the_next_command(self, tmp_path, uniform_csv):
         # main reuses one parser; the appended --exact-against list must not.
@@ -684,6 +710,56 @@ PINNED_CASES = {
 }
 
 
+# run: (argv, stdout, summary.csv bytes, per_query.csv bytes). The workload
+# and the samples are drawn, so these pin the streams of numpy's default_rng
+# too. No summary averages more than 3 errors, so numpy sums them in order.
+PINNED_EXPERIMENTS = {
+    "select-only": (
+        ["experiment", "--table", "<dir>/t.csv", "--workload-m", "2", "--workload-b", "3",
+         "--count", "3", "--sizes", "4,8", "--epsilon", "0.1", "--seed", "5",
+         "--out-dir", "<dir>/exp"],
+        "wrote <dir>/exp/summary.csv and <dir>/exp/per_query.csv\n"
+        "     indexed s=       4 mean%=    20.000 std%=    21.602 within-eps=1.00 excluded=0\n"
+        "     indexed s=       8 mean%=    10.000 std%=    10.801 within-eps=1.00 excluded=0\n"
+        "practitioner s=       4 mean%=    20.000 std%=    21.602 within-eps=1.00 excluded=0\n"
+        "practitioner s=       8 mean%=    10.000 std%=    10.801 within-eps=1.00 excluded=0\n"
+        "   histogram s=       - mean%=     0.000 std%=     0.000 within-eps=1.00 excluded=0\n",
+        b"method,sample_size,mean_pct_error,stddev_pct_error,frac_within_eps,excluded\n"
+        b"indexed,4,20.000000000000004,21.60246899469287,1.0,0\n"
+        b"indexed,8,9.999999999999998,10.801234497346433,1.0,0\n"
+        b"practitioner,4,20.000000000000004,21.60246899469287,1.0,0\n"
+        b"practitioner,8,9.999999999999998,10.801234497346433,1.0,0\n"
+        b"histogram,,0.0,0.0,1.0,0\n",
+        _HEADER.encode() + b"0,0,select,0.0,0.0,0.0,4,16823399\n"
+        b"1,0,select,0.16666666666666666,0.25,0.25,4,16823399\n"
+        b"2,0,select,0.8333333333333334,0.75,0.75,4,16823399\n"
+        b"0,0,select,0.0,0.0,0.0,8,2940995229\n"
+        b"1,0,select,0.16666666666666666,0.125,0.125,8,2940995229\n"
+        b"2,0,select,0.8333333333333334,0.875,0.875,8,2940995229\n",
+    ),
+    # Sized from the class (u, m, b) = (2, 1, 1) at epsilon 0.5: s = 888.
+    "join-pair": (
+        ["experiment", "--table", "<dir>/t.csv", "--table", "<dir>/u.csv",
+         "--workload-m", "1", "--workload-b", "1", "--count", "2", "--kind", "join-pair",
+         "--epsilon", "0.5", "--methods", "indexed,practitioner", "--seed", "5",
+         "--out-dir", "<dir>/exp"],
+        "wrote <dir>/exp/summary.csv and <dir>/exp/per_query.csv\n"
+        "     indexed s=     888 mean%=     5.743 std%=     5.743 within-eps=1.00 excluded=0\n"
+        "practitioner s=     888 mean%=     9.533 std%=     9.533 within-eps=1.00 excluded=0\n",
+        b"method,sample_size,mean_pct_error,stddev_pct_error,frac_within_eps,excluded\n"
+        b"indexed,888,5.743243243243247,5.743243243243247,1.0,0\n"
+        b"practitioner,888,9.532505478451421,9.532505478451421,1.0,0\n",
+        _HEADER.encode()
+        + b"0,0,select,0.16666666666666666,0.16216216216216217,0.16216216216216217,888,16823399\n"
+        b"0,1,select,1.0,1.0,1.0,888,16823399\n"
+        b"0,2,join,0.0,0.0,0.0,888,16823399\n"
+        b"1,0,select,0.6666666666666666,0.6756756756756757,0.6756756756756757,888,16823399\n"
+        b"1,1,select,1.0,1.0,1.0,888,16823399\n"
+        b"1,2,join,0.03333333333333333,0.037162162162162164,0.03968833698563428,888,16823399\n",
+    ),
+}
+
+
 class TestPinnedOutputs:
     """Standard output and written files, byte for byte as recorded."""
 
@@ -693,6 +769,14 @@ class TestPinnedOutputs:
         out, written = _pinned_run(tmp_path, capsys, argv, out_name)
         assert out == want_stdout
         assert written == want_file
+
+    @pytest.mark.parametrize("run_name", sorted(PINNED_EXPERIMENTS))
+    def test_experiment_bytes(self, tmp_path, capsys, run_name):
+        argv, want_stdout, want_summary, want_per_query = PINNED_EXPERIMENTS[run_name]
+        out, _ = _pinned_run(tmp_path, capsys, argv, None)
+        assert out == want_stdout
+        assert (tmp_path / "exp" / "summary.csv").read_bytes() == want_summary
+        assert (tmp_path / "exp" / "per_query.csv").read_bytes() == want_per_query
 
     @pytest.mark.parametrize("exact", [False, True])
     def test_schema_warning_text(self, tmp_path, capsys, exact):

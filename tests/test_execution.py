@@ -47,6 +47,21 @@ def join_plan(cond_op=EQ, left_pred=None, right_pred=None, col="C1"):
     )
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda tables: parse_query("SELECT * FROM t WHERE t.C1 > 0", tables),
+        lambda tables: exact_selectivity(tables, SelectLeaf("t")),
+        lambda tables: create_sample(2, tables, seed=0),
+    ],
+    ids=["parse_query", "exact_selectivity", "create_sample"],
+)
+def test_a_repeated_table_name_is_refused(call):
+    tables = [make_table("t", [(1, 2)]), make_table("t", [(3, 4), (5, 0)])]
+    with pytest.raises(ValueError, match="^table names must be distinct: 't' is given more than once$"):
+        call(tables)
+
+
 class TestExecutePlan:
     def test_true_leaf_keeps_all_rows(self):
         t = make_table("T", [(0, 0), (1, 1), (2, 2), (3, 3)])

@@ -234,6 +234,30 @@ class TestClassParams:
         assert clause_count(expr) == 2
         assert clause_count(expr, effective=True) == 4
 
+    def test_several_plans_take_the_max_of_each_field(self):
+        ge, lt = ComparisonOp.GE, ComparisonOp.LT
+        select = SelectLeaf(
+            "T", Or(And(SelectionClause("C1", ge, 1), SelectionClause("C2", lt, 7)), SelectionClause("C1", lt, 9))
+        )
+        ab = JoinCondition(ColumnRef("A", "C1"), ColumnRef("B", "C1"), ComparisonOp.EQ)
+        join = JoinNode(SelectLeaf("A", SelectionClause("C2", ComparisonOp.EQ, 4)), SelectLeaf("B"), ab)
+        chain = JoinNode(
+            JoinNode(SelectLeaf("A"), SelectLeaf("B", SelectionClause("C1", ge, 2)), ab),
+            SelectLeaf("T", SelectionClause("C2", lt, 5)),
+            JoinCondition(ColumnRef("B", "C2"), ColumnRef("T", "C2"), lt),
+        )
+        assert [class_params(p) for p in (select, join, chain)] == [
+            ClassParams(u=1, m=2, b=3), ClassParams(u=2, m=1, b=1), ClassParams(u=3, m=1, b=1)
+        ]
+        assert class_params(select, join, chain) == ClassParams(u=3, m=2, b=3)
+        assert class_params(chain, join, select) == ClassParams(u=3, m=2, b=3)
+        assert class_params(join, chain) == ClassParams(u=3, m=1, b=1)
+        assert class_params(join, chain, effective_b=True) == ClassParams(u=3, m=1, b=2)
+
+    def test_no_plans_rejected(self):
+        with pytest.raises(ValueError, match="at least one plan"):
+            class_params()
+
     def test_u_equals_from_count(self):
         for text, u in [
             ("SELECT * FROM T", 1),

@@ -222,7 +222,7 @@ class TestManifestErrors:
         message = self._load(tmp_path, json.dumps(_manifest_with("base", "t-1")))
         assert message.endswith("invalid table name: 't-1'")
 
-    @pytest.mark.parametrize("count,message", [(0, "needs at least one table"), (2, "distinct base tables")])
+    @pytest.mark.parametrize("count,message", [(0, "needs at least one table"), (2, "table names must be distinct")])
     def test_tables_empty_or_repeated(self, tmp_path, count, message):
         manifest = _good_manifest()
         manifest["tables"] *= count
