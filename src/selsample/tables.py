@@ -321,16 +321,53 @@ def _read_rows(p: Path, text: str, columns: Sequence[str] | None) -> tuple[list[
 
 
 def write_int_csv(path: str | Path, names: Sequence[str], matrix: np.ndarray) -> bytes:
-    """Write a header line and the matrix rows: integer cells, commas, LF
-    newlines. Returns the bytes written.
+    """Write a header line and the rows of the int64 matrix: integer cells as
+    str() writes them, commas, LF newlines. Returns the bytes written.
 
-    `%` formatting on a `tolist()` copy is the fastest form tried: a numpy
-    digit formatter took 18-19 ms for 35,800 rows of 3 cells, against 17 ms
-    here (2-core VM, numpy 2.4).
+    The rows are laid out as one (n, width) uint8 block, a fixed-width field
+    per column, which NULs pad and a single bytes.replace removes. A column's
+    field holds a sign slot, only when the column has a negative value, then
+    as many digits as its largest |x| has, then the separator. |x| is taken
+    as uint64, so INT64_MIN becomes 2^63, and narrowed to the smallest
+    unsigned type that holds it. Repeated // 10 gives the digits from the
+    last place up, and at each place p >= 1 a value whose quotient so far is
+    0 gets a NUL in place of a leading zero.
+
+    On a 2-core VM (Python 3.11, numpy 2.4), file write included, this takes
+    4.4 ms against 12-16 ms for `%` formatting on a tolist() copy, for
+    35,800 rows of 3 cells below 200,001, and 13 ms against 25-37 ms for 1e5
+    rows of 2. Two forms to avoid: a sign slot in every column, whose NUL in
+    each non-negative cell takes bytes.replace from 1.4 to 3.3 ms on that
+    block (replace costs about 15 ns a NUL); and a boolean-mask compress in
+    place of replace, which takes 1.7 ms there and a block-sized mask. An
+    earlier numpy formatter with both took 18-19 ms.
     """
     n, k = matrix.shape
-    row = ",".join(["%d"] * k) + "\n"
-    data = (",".join(names) + "\n" + (row * n) % tuple(matrix.ravel().tolist())).encode()
+    fields = []
+    for j in range(k):
+        col = matrix[:, j]
+        neg = col < 0
+        mag = col.astype(np.uint64)
+        np.negative(mag, out=mag, where=neg)
+        top = mag.max() if n else np.uint64(0)
+        fields.append((mag.astype(np.min_scalar_type(top)), neg if neg.any() else None, len(str(top))))
+    block = np.empty((n, sum((neg is not None) + digits + 1 for _, neg, digits in fields)), np.uint8)
+    at = 0
+    for j, (r, neg, digits) in enumerate(fields):
+        if neg is not None:
+            np.multiply(neg, ord("-"), out=block[:, at], casting="unsafe")
+            at += 1
+        for p in range(digits):
+            q = r // 10
+            d = r - q * 10 + ord("0")
+            if p:
+                d *= r != 0
+            block[:, at + digits - 1 - p] = d
+            r = q
+        at += digits
+        block[:, at] = ord(",") if j < k - 1 else ord("\n")
+        at += 1
+    data = (",".join(names) + "\n").encode() + block.tobytes().replace(b"\0", b"")
     Path(path).write_bytes(data)
     return data
 

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_table, sample_table
+from selsample import sampling
 from selsample.execution import estimate_all_nodes
 from selsample.queries import parse_query
 from selsample.sampling import SampleDatabase, SampleTable, create_sample, load_sample, save_sample
@@ -326,6 +327,23 @@ class TestSampleReader:
         loaded = load_sample(save_sample(sdb, tmp_path / "s"))
         assert np.array_equal(sample_table(loaded, "T").matrix(), sample_table(sdb, "T").matrix())
         assert sample_table(loaded, "T").indexes == range(1, 301)
+
+    @pytest.mark.parametrize("s", [9, 10, 99, 100, 1000])
+    def test_sampleindex_across_a_power_of_ten(self, tmp_path, s, monkeypatch):
+        t = make_table("T", [(-5, 0), (7, 120), (-300, 9)], domain=(-300, 120))
+        sdb = create_sample(s, [t], seed=s)
+        save_sample(sdb, tmp_path)
+        expected = "sampleindex,C1,C2\n" + "".join(
+            f"{i},{','.join(str(v) for v in row)}\n" for i, row in enumerate(sample_table(sdb, "T").matrix().tolist(), 1)
+        )
+        assert (tmp_path / "T.sample.csv").read_bytes() == expected.encode()
+
+        def no_csv_route(*args):
+            raise AssertionError("load_sample parsed the CSV")
+
+        monkeypatch.setattr(sampling, "read_int_csv", no_csv_route)
+        loaded = load_sample(tmp_path / "manifest.json")
+        assert (loaded.size, loaded.seed, loaded.tables) == _as_loaded(sdb)
 
     def test_shuffled_file_loads_in_sampleindex_order(self, tmp_path):
         rng = np.random.default_rng(17)

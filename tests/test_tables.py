@@ -26,6 +26,7 @@ from selsample.tables import (
     read_csv,
     read_int_csv,
     save_csv,
+    write_int_csv,
 )
 
 SCHEMA_0_10 = [ColumnMeta("C1", Domain(0, 10)), ColumnMeta("C2", Domain(0, 10))]
@@ -282,6 +283,32 @@ def _random_matrix(rng, n: int, k: int) -> np.ndarray:
     )
 
 
+def _cells_of_width(rng, width: int, n: int = 60) -> np.ndarray:
+    """Columns whose widest cell, written, has `width` characters: a
+    non-negative one (width <= 19) and a mixed and an all-negative one
+    (width >= 2). Every shorter length appears too, so cells cross each power
+    of ten below the widest."""
+    cols = []
+    if width <= 19:
+        hi = min(10**width - 1, INT64_MAX)
+        cols.append([hi, 10 ** (width - 1)] + [hi // 10**e for e in range(width)])
+    if width >= 2:
+        lo = max(-(10 ** (width - 1) - 1), INT64_MIN)
+        cols.append([lo, 0, -1] + [lo // 10**e if e % 2 == 0 else -(lo // 10**e) for e in range(width - 1)])
+        cols.append([lo, -(10 ** (width - 2))] + [-(-lo // 10**e) for e in range(width - 1)])
+    return np.column_stack([np.resize(rng.permutation(np.array(c, dtype=np.int64)), n) for c in cols])
+
+
+_WRITER_CASES = {
+    "int64-extremes": np.array([[INT64_MIN, INT64_MAX], [INT64_MAX, INT64_MIN], [0, -1], [1, 0]], dtype=np.int64),
+    "negative-mixed-nonnegative": np.array([[-1, 5, 0], [-40, -3, 12], [-999, 0, 7]], dtype=np.int64),
+    "all-zero-column": np.array([[0, 5], [0, -60], [0, 0]], dtype=np.int64),
+    "single-column": np.array([[7], [-30], [0], [1000]], dtype=np.int64),
+    "zero-rows": np.empty((0, 3), dtype=np.int64),
+    **{f"width-{w}": _cells_of_width(np.random.default_rng(w), w) for w in range(1, 21)},
+}
+
+
 class TestReaderRoundTrip:
     @pytest.mark.parametrize("shape", [(1, 1), (1, 3), (5, 1), (40, 2), (300, 4)])
     def test_save_then_read_is_exact(self, tmp_path, shape):
@@ -301,6 +328,21 @@ class TestReaderRoundTrip:
         t = Table("t", [ColumnMeta(f"C{j}", Domain(INT64_MIN, INT64_MAX)) for j in range(3)], m)
         save_csv(t, tmp_path / "t.csv")
         expected = "C0,C1,C2\n" + "".join(",".join(str(v) for v in row) + "\n" for row in m.tolist())
+        assert (tmp_path / "t.csv").read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("case", sorted(_WRITER_CASES))
+    def test_writer_bytes_equal_str(self, tmp_path, case, layout):
+        m = _WRITER_CASES[case]
+        if layout == "F":
+            m = np.asfortranarray(m)
+        elif layout == "strided":
+            m = np.zeros((2 * m.shape[0], 3 * m.shape[1]), np.int64)[::2, 1::3]
+            m[...] = _WRITER_CASES[case]
+            assert m.size == 0 or not (m.flags.c_contiguous or m.flags.f_contiguous)
+        names = [f"C{j}" for j in range(m.shape[1])]
+        expected = ",".join(names) + "\n" + "".join(",".join(str(v) for v in row) + "\n" for row in m.tolist())
+        assert write_int_csv(tmp_path / "t.csv", names, m) == expected.encode()
         assert (tmp_path / "t.csv").read_bytes() == expected.encode()
 
 
