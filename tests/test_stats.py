@@ -102,6 +102,32 @@ def counter_reference_stats(values: np.ndarray, buckets: int, mcv: int):
     return entries, bounds, len(counts), len(counts) - len(entries), len(rest) / n
 
 
+def assert_matches_counter_reference(matrix: np.ndarray, buckets: int, mcv: int) -> None:
+    t = Table("T", [ColumnMeta(f"C{j + 1}") for j in range(matrix.shape[1])], matrix)
+    catalog = build_stats(t, buckets, mcv)
+    for j in range(matrix.shape[1]):
+        st = catalog.get("T", f"C{j + 1}")
+        entries, bounds, nd, nd_rest, total_rest = counter_reference_stats(matrix[:, j], buckets, mcv)
+        assert st.mcv.entries == entries
+        assert all(type(v) is int and type(f) is float for v, f in st.mcv.entries)
+        assert st.histogram.boundaries == bounds
+        assert all(type(b) is int for b in st.histogram.boundaries)
+        assert (st.n_distinct, st.n_distinct_non_mcv) == (nd, nd_rest)
+        assert type(st.n_distinct) is int and type(st.n_distinct_non_mcv) is int
+        assert st.histogram.total_fraction == total_rest
+
+
+def column(values) -> np.ndarray:
+    return np.array(values, dtype=np.int64).reshape(-1, 1)
+
+
+I64 = np.iinfo(np.int64)
+# Seven values counted 3 and one counted 5, in descending order, so a cut at
+# mcv = 3 keeps 9 and the two smallest of the seven.
+TIED_AT_THE_CUT = column([9] * 5 + [v for v in range(7, 0, -1) for _ in range(3)] + [20, 11])
+SMALL_TIES = column([4, 4, 4, 1, 1, 2, 2, 3, 8, 8, 8, 8, -5])  # 6 distinct values
+
+
 class TestBuildStatsMatchesCounterReference:
     def test_random_columns_with_many_ties(self):
         rng = np.random.default_rng(23)
@@ -113,15 +139,30 @@ class TestBuildStatsMatchesCounterReference:
                 values = np.minimum(values, int(rng.integers(-distinct, distinct)))
             buckets = int(rng.integers(1, 12))
             mcv = int(rng.integers(0, 12))
-            t = Table("T", [ColumnMeta("A", Domain(-200, 200))], values.reshape(-1, 1))
-            st = build_stats(t, buckets, mcv).get("T", "A")
-            entries, bounds, nd, nd_rest, total_rest = counter_reference_stats(values, buckets, mcv)
-            assert st.mcv.entries == entries
-            assert all(type(v) is int and type(f) is float for v, f in st.mcv.entries)
-            assert st.histogram.boundaries == bounds
-            assert (st.n_distinct, st.n_distinct_non_mcv) == (nd, nd_rest)
-            assert type(st.n_distinct) is int
-            assert st.histogram.total_fraction == total_rest
+            assert_matches_counter_reference(values.reshape(-1, 1), buckets, mcv)
+
+        extremes = column([I64.min, I64.max, I64.max, 0, -1, I64.min, I64.max, I64.min + 1, I64.max - 1, 1])
+        two_columns = np.column_stack((rng.integers(0, 40, size=300), rng.geometric(0.3, size=300)))
+        for matrix, buckets, mcv in [
+            (extremes, 3, 2),
+            (extremes, 20, 0),
+            (TIED_AT_THE_CUT, 4, 3),
+            (TIED_AT_THE_CUT, 2, 5),
+            (SMALL_TIES, 3, 0),
+            (SMALL_TIES, 3, 6),  # mcv = the distinct count
+            (SMALL_TIES, 3, 9),  # above it
+            (SMALL_TIES, 50, 2),  # more buckets than the 6 non-MCV rows
+            (column([7] * 50), 4, 10),
+            (column([7] * 50), 4, 0),
+            (two_columns, 7, 5),
+        ]:
+            assert_matches_counter_reference(matrix, buckets, mcv)
+
+        # Counts near Poisson(0.5): hundreds of values tie at the 100th count.
+        uniform = rng.integers(0, 200001, size=(100_000, 1))
+        ranked = sorted(Counter(uniform[:, 0].tolist()).values(), reverse=True)
+        assert ranked[99] == ranked[100]
+        assert_matches_counter_reference(uniform, 100, 100)
 
 
 class TestEstimateClause:
