@@ -14,7 +14,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .tables import ColumnMeta, Domain, Table, by_name, read_int_csv, read_sidecar, write_int_csv, write_sidecar
+from .tables import (
+    ColumnMeta, Domain, Table, _Owned, by_name, read_int_csv, read_sidecar, write_int_csv, write_sidecar,
+)
 
 __all__ = [
     "SampleTable",
@@ -174,7 +176,7 @@ def load_sample(manifest_path: str | Path, domain: Domain | None = None) -> Samp
         path = mp.parent / entry["file"]
         read = read_sidecar(path, ["sampleindex", *entry["columns"]])
         if read is not None and read[1].shape == (size, len(entry["columns"])):
-            rows = read[1]
+            rows = _Owned(read[1])
         else:
             rows = _read_sample_csv(path, entry["columns"], size)
         try:

@@ -5,6 +5,7 @@ import os
 import shutil
 import struct
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from selsample.tables import (
     Table,
     generate_correlated_table,
     generate_uniform_table,
+    int_matrix,
     read_csv,
     read_int_csv,
     save_csv,
@@ -98,6 +100,35 @@ class TestTable:
         t = Table("T", SCHEMA_0_10, [(1, 2), (3, 4)])
         assert t.matrix().tolist() == [[1, 2], [3, 4]]
         assert t.column_values("C2").tolist() == [2, 4]
+
+
+class TestIntMatrix:
+    """int_matrix converts exactly, or raises ValueError."""
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            np.array([[2**63]], dtype=np.uint64),
+            np.array([[1.7]]),
+            [[1.7]],
+            np.array([["12"]]),
+            [[2**63]],
+            [[-(2**63) - 1]],
+        ],
+        ids=["uint64 array beyond int64", "float array", "float row", "string array", "row beyond int64", "row below int64"],
+    )
+    def test_inexact_input_raises(self, rows):
+        with pytest.raises(ValueError):
+            int_matrix(rows, 1)
+        with pytest.raises(ValueError):
+            Table("T", [ColumnMeta("C1")], rows)
+
+    def test_exact_input_converts(self):
+        top = 2**63 - 1
+        for rows in (np.array([[top]], dtype=np.uint64), [[np.uint64(top)]], [[top]]):
+            assert int_matrix(rows, 1).tolist() == [[top]]
+        assert int_matrix(np.array([[-128, 127]], np.int8), 2).tolist() == [[-128, 127]]
+        assert int_matrix([[np.int32(-5), -(2**63)], (True, 0)], 2).tolist() == [[-5, -(2**63)], [1, 0]]
 
 
 class TestCsv:
@@ -632,6 +663,19 @@ def _sidecar_of(name: str):
     return copy
 
 
+def _edit_sidecar(edit):
+    def apply(d: Path) -> Path:
+        (d / "t.csv.bin").write_bytes(edit(bytearray((d / "t.csv.bin").read_bytes())))
+        return d / "t.csv"
+
+    return apply
+
+
+def _flip_first_payload_byte(data: bytearray) -> bytearray:
+    data[len(b"SELSBIN1") + 16] ^= 1
+    return data
+
+
 def _earlier_sidecar_format(d: Path) -> Path:
     # The sample sidecar's earlier format: SHA-256 over the CSV and the payload, then the payload.
     p = d / "t.csv"
@@ -688,6 +732,9 @@ class TestSidecar:
             # Another format's tag over a row-major payload, with a matching digest.
             lambda d: _forge(d / "t.csv", _T, tag=b"SELSBIN2", order="C"),
             lambda d: _forge(d / "t.csv", _T[:-1], shape=_T.shape),
+            _edit_sidecar(_flip_first_payload_byte),
+            _edit_sidecar(lambda data: data + b"\0"),
+            _edit_sidecar(lambda data: data[:-1]),
             _invalid_header,
             lambda d: d / "s" / "t.sample.csv",
             _sample_csv("ts.csv"),
@@ -700,6 +747,9 @@ class TestSidecar:
             "earlier sample sidecar format",
             "another format tag",
             "shape beyond the payload",
+            "payload byte flipped",
+            "byte appended",
+            "digest cut short",
             "invalid header",
             "sample CSV",
             "sample CSV under a table name",
@@ -711,6 +761,59 @@ class TestSidecar:
         save_sample(create_sample(6, [read_csv(tmp_path / "t.csv")], seed=3), tmp_path / "s")
         p = edit(tmp_path)
         assert _read(p) == _csv_route(p)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda data: data[:40], lambda data: data[:-1], lambda data: data + b"\0"],
+        ids=["payload cut short", "digest cut short", "byte appended"],
+    )
+    def test_sidecar_resized_while_read(self, tmp_path, monkeypatch, edit):
+        # The sidecar keeps the size it had when its length was checked, then
+        # changes: the reads after that check see the change.
+        p = tmp_path / "t.csv"
+        save_csv(Table("t", [ColumnMeta("C1"), ColumnMeta("C2")], _T), p)
+        side = tmp_path / "t.csv.bin"
+        size = side.stat().st_size
+        side.write_bytes(edit(side.read_bytes()))
+        monkeypatch.setattr(tables.os, "fstat", lambda fd: os.stat_result((0,) * 6 + (size,) + (0,) * 3))
+        assert tables.read_sidecar(p) is None
+        monkeypatch.undo()
+        assert _read(p) == _csv_route(p)
+
+    def test_header_longer_than_the_hash_chunk(self, tmp_path, monkeypatch):
+        routes = TestReaderRoutes._spy_routes(monkeypatch)
+        k = 12_000
+        t = Table("t", [ColumnMeta(f"C{j + 1}") for j in range(k)], np.arange(2 * k).reshape(2, k))
+        p = tmp_path / "t.csv"
+        save_csv(t, p)
+        assert p.read_bytes().index(b"\n") > tables._HASH_CHUNK
+        assert _read(p) == t == _csv_route(p)
+        assert routes == {"whole": [True], "sidecar": [True, False]}
+
+    @staticmethod
+    def _traced(read):
+        """read()'s result and the peak of the memory traced while it ran."""
+        tracemalloc.start()
+        try:
+            got = read()
+            return got, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_read_allocates_little_beyond_the_kept_matrix(self, tmp_path):
+        # Reading each file whole and copying the payload peaked at 3.06 and
+        # 1.19 MiB here.
+        slack = 256 * 2**10
+        t = generate_uniform_table("t", 100_000, 2, Domain(0, 200_000), seed=1)
+        save_csv(t, tmp_path / "t.csv")
+        got, peak = self._traced(lambda: read_csv(tmp_path / "t.csv", Domain(0, 200_000)))
+        assert got == t
+        assert peak <= got.matrix().nbytes + slack
+        sdb = create_sample(35_800, [t], seed=7)
+        manifest = save_sample(sdb, tmp_path / "s")
+        got, peak = self._traced(lambda: load_sample(manifest, Domain(0, 200_000)))
+        assert [st.matrix().tolist() for st in got.tables] == [st.matrix().tolist() for st in sdb.tables]
+        assert peak <= sum(st.matrix().nbytes for st in got.tables) + slack
 
     def test_sidecar_without_its_csv(self, tmp_path):
         p = tmp_path / "t.csv"
