@@ -64,6 +64,7 @@ from .tables import (
 )
 from .vcbounds import (
     SampleSizeSpec,
+    Sizing,
     VcBoundReport,
     bound_boolean_combination,
     bound_general,
@@ -74,6 +75,7 @@ from .vcbounds import (
     growth_function,
     sample_size_eps,
     sample_size_rel,
+    size_sample,
 )
 
 __version__ = "0.1.0"

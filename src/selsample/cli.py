@@ -37,7 +37,7 @@ from .tables import (
     read_csv,
     save_csv,
 )
-from .vcbounds import SampleSizeSpec, bound_general, sample_size_eps, sample_size_rel
+from .vcbounds import Sizing, bound_general, size_sample
 
 
 def _parse_domain(args) -> Domain | None:
@@ -74,23 +74,33 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _derived_dimension(args) -> int:
-    if args.d_override is not None:
-        if args.d_override <= 0:
-            raise ValueError("--d-override must be positive")
-        return args.d_override
-    if args.u is None or args.m is None or args.b is None:
-        raise ValueError("need --d-override or all of --u/--m/--b to derive the dimension")
-    return bound_general(args.u, args.m, args.b, args.log_base).dimension
+def _sizing(args, u_m_b: tuple[int, int, int] | None = None, **formula) -> Sizing:
+    """The sample size at --epsilon, --delta and --log-base for the class
+    u_m_b, or, without it, for --d-override or the class --u/--m/--b."""
+    d = None
+    if u_m_b is None:
+        given = (args.u, args.m, args.b)
+        if args.d_override is not None:
+            if given != (None, None, None):
+                raise ValueError("pass --d-override or --u/--m/--b, not both")
+            if args.d_override <= 0:
+                raise ValueError("--d-override must be positive")
+            d = args.d_override
+        elif None in given:
+            raise ValueError("need --d-override or all of --u/--m/--b to derive the dimension")
+        else:
+            u_m_b = given
+    return size_sample(args.epsilon, args.delta, u_m_b=u_m_b, d=d, log_base=args.log_base, **formula)
 
 
 def cmd_build_sample(args) -> int:
     tables = _load_tables(args.table, _parse_domain(args))
+    if args.size is not None and args.auto:
+        raise ValueError("pass --size or --auto, not both")
     if args.size is not None:
         size = args.size
     elif args.auto:
-        d = _derived_dimension(args)
-        size = sample_size_eps(SampleSizeSpec(epsilon=args.epsilon, delta=args.delta, d=d, c=args.c))
+        size = _sizing(args, c=args.c).size
     else:
         raise ValueError("pass --size or --auto")
     sdb = create_sample(size, tables, args.seed)
@@ -134,30 +144,21 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_sample_size(args) -> int:
-    d = _derived_dimension(args)
-    spec = SampleSizeSpec(
-        epsilon=args.epsilon,
-        delta=args.delta,
-        d=d,
-        c=args.c,
-        p=args.p,
-        c_prime=args.c_prime,
-        population=args.population,
-    )
-    size = sample_size_rel(spec) if args.p is not None else sample_size_eps(spec)
+    sizing = _sizing(args, c=args.c, p=args.p, c_prime=args.c_prime, population=args.population)
+    spec = sizing.spec
     record = {
-        "d": d,
-        "epsilon": args.epsilon,
-        "delta": args.delta,
-        "c": args.c,
-        "mode": "relative" if args.p is not None else "absolute",
-        "sample_size": size,
+        "d": spec.d,
+        "epsilon": spec.epsilon,
+        "delta": spec.delta,
+        "c": spec.c,
+        "mode": "absolute" if spec.p is None else "relative",
+        "sample_size": sizing.size,
     }
-    if args.p is not None:
-        record["p"] = args.p
-        record["c_prime"] = args.c_prime
-    if args.population is not None:
-        record["population"] = args.population
+    if spec.p is not None:
+        record["p"] = spec.p
+        record["c_prime"] = spec.c_prime
+    if spec.population is not None:
+        record["population"] = spec.population
     return _print_record(record, args.json)
 
 
@@ -197,8 +198,7 @@ def cmd_experiment(args) -> int:
         sizes = [int(part) for part in args.sizes.split(",") if part]
     else:
         params = class_params(*workload)
-        d = bound_general(params.u, params.m, params.b, args.log_base).dimension
-        sizes = [sample_size_eps(SampleSizeSpec(epsilon=args.epsilon, delta=args.delta, d=d))]
+        sizes = [_sizing(args, (params.u, params.m, params.b)).size]
     result = run_experiment(
         tables,
         workload,

@@ -188,17 +188,9 @@ def iter_clauses(expr: BoolExpr) -> Iterator[SelectionClause]:
         yield from iter_clauses(expr.right)
 
 
-def clause_count(expr: BoolExpr, *, effective: bool = False) -> int:
-    """Number of clauses in a predicate.
-
-    With effective=True, EQ and NE clauses count twice: each is semantically a
-    conjunction/disjunction of two inequality clauses, which is the
-    conservative count to feed to the bound formulas.
-    """
-    total = 0
-    for c in iter_clauses(expr):
-        total += 2 if effective and c.op in (ComparisonOp.EQ, ComparisonOp.NE) else 1
-    return total
+def clause_count(expr: BoolExpr) -> int:
+    """Number of clauses in a predicate; EQ and NE count once each."""
+    return sum(1 for _ in iter_clauses(expr))
 
 
 def predicate_columns(expr: BoolExpr) -> set[str]:
@@ -219,7 +211,7 @@ def leaf_tables(plan: QueryPlan) -> tuple[str, ...]:
     return leaf_tables(plan.left) + leaf_tables(plan.right)
 
 
-def class_params(*plans: QueryPlan, effective_b: bool = False) -> ClassParams:
+def class_params(*plans: QueryPlan) -> ClassParams:
     """The smallest class (u, m, b) holding every plan, the class one sample is
     sized for: the most select leaves of any plan and the most distinct columns
     and clauses of any one leaf predicate; a TRUE leaf has m=0, b=0."""
@@ -232,7 +224,7 @@ def class_params(*plans: QueryPlan, effective_b: bool = False) -> ClassParams:
         for leaf in leaves:
             if leaf.predicate is not None:
                 m = max(m, len(predicate_columns(leaf.predicate)))
-                b = max(b, clause_count(leaf.predicate, effective=effective_b))
+                b = max(b, clause_count(leaf.predicate))
     return ClassParams(u=u, m=m, b=b)
 
 

@@ -427,11 +427,13 @@ def read_sidecar(path: str | Path, columns: Sequence[str] | None = None) -> tupl
     - it starts with the format tag, and its length fits the (n, k) it records;
     - the CSV's header line is ASCII and equals `columns` when given, and
       consists of valid column names otherwise;
+    - k lies in 1..the header's column count, so the length check bounds n;
     - its digest matches the CSV's bytes, the tag, the shape and the payload.
     A matching digest shows that write_sidecar wrote this CSV and this matrix
-    together. The caller checks that (n, k) fits the header: a sample's
-    matrix leaves out the CSV's leading sampleindex column. An OSError, or a
-    sidecar that shrinks or grows while it is read, gives None too.
+    together. The caller checks that (n, k) fits the header exactly: a
+    sample's matrix leaves out the CSV's leading sampleindex column. An
+    OSError, or a sidecar that shrinks or grows while it is read, gives None
+    too.
 
     The returned matrix is new and read-only, and it is the read's one
     allocation of the files' size, so read_csv and load_sample hand it to
@@ -465,6 +467,8 @@ def read_sidecar(path: str | Path, columns: Sequence[str] | None = None) -> tupl
                 if not all(_IDENT_RE.fullmatch(c) for c in names):
                     return None
             elif names != list(columns):
+                return None
+            if not 1 <= k <= len(names):
                 return None
             digest = hashlib.sha256(first)
             chunk = memoryview(bytearray(_HASH_CHUNK))

@@ -4,6 +4,12 @@ Bound formulas take a configurable logarithm base (default 2, the convention
 in the VC literature). The sample-size formulas use the natural logarithm for
 the log(1/delta) term; with c = 0.5, epsilon = delta = 0.05 this gives
 ceil(200*d + 599.15), e.g. d=2 -> 1000 and d=100 -> 20600.
+
+size_sample is the one place a sample is sized: from a class (u, m, b)
+through bound_general to its dimension d, or from d itself, then through
+sample_size_eps, or sample_size_rel when p is given. It returns a Sizing
+record: the size, the SampleSizeSpec the formula read, the class and its
+VcBoundReport (None when d was given), and the log base.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ __all__ = [
     "DEFAULT_LOG_BASE",
     "VcBoundReport",
     "SampleSizeSpec",
+    "Sizing",
     "growth_function",
     "bound_select_single",
     "bound_boolean_combination",
@@ -26,6 +33,7 @@ __all__ = [
     "bound_general",
     "sample_size_eps",
     "sample_size_rel",
+    "size_sample",
 ]
 
 DEFAULT_LOG_BASE = 2.0
@@ -92,11 +100,12 @@ class SampleSizeSpec:
             raise ValueError("epsilon must be in (0, 1)")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must be in (0, 1)")
-        if self.c <= 0.0:
+        # Written as "not x > 0" so that NaN is refused too.
+        if not self.c > 0.0:
             raise ValueError("c must be positive")
-        if self.c_prime <= 0.0:
+        if not self.c_prime > 0.0:
             raise ValueError("c_prime must be positive")
-        if self.d <= 0.0:
+        if not self.d > 0.0:
             raise ValueError("d must be positive")
         if self.p is not None and not 0.0 < self.p < 1.0:
             raise ValueError("p must be in (0, 1)")
@@ -250,3 +259,46 @@ def _clamped(size: int, spec: SampleSizeSpec) -> int:
     """A sample size of at least 1, and at most the population when one is given."""
     size = max(1, size)
     return size if spec.population is None else min(size, spec.population)
+
+
+@dataclass(frozen=True)
+class Sizing:
+    """A sample size and everything that set it.
+
+    `spec` holds what the sample-size formula read. `u_m_b` is the class
+    (u, m, b) and `report` its bound, which gave spec.d; both are None when
+    d was given directly.
+    """
+
+    size: int
+    spec: SampleSizeSpec
+    u_m_b: tuple[int, int, int] | None
+    report: VcBoundReport | None
+    log_base: float
+
+
+def size_sample(
+    epsilon: float,
+    delta: float,
+    *,
+    u_m_b: tuple[int, int, int] | None = None,
+    d: float | None = None,
+    c: float = 0.5,
+    p: float | None = None,
+    c_prime: float = 0.5,
+    population: int | None = None,
+    log_base: float = DEFAULT_LOG_BASE,
+) -> Sizing:
+    """The sample size for an (epsilon, delta) guarantee over the class u_m_b,
+    or over a class of VC dimension d; exactly one of the two is given.
+
+    The class's dimension is the ceiling of bound_general. The size is
+    sample_size_eps, or sample_size_rel for the relative (p, epsilon)
+    variant when p is given.
+    """
+    if (u_m_b is None) == (d is None):
+        raise ValueError("size_sample takes exactly one of u_m_b and d")
+    report = None if u_m_b is None else bound_general(*u_m_b, log_base)
+    spec = SampleSizeSpec(epsilon, delta, d if report is None else report.dimension, c, p, c_prime, population)
+    size = sample_size_eps(spec) if p is None else sample_size_rel(spec)
+    return Sizing(size, spec, u_m_b, report, log_base)

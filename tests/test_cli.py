@@ -110,6 +110,13 @@ class TestBuildSample:
     def test_needs_size_or_auto(self, tmp_path, uniform_csv):
         assert run(["build-sample", "--table", str(uniform_csv), "--out", str(tmp_path / "s")]) == 2
 
+    def test_size_and_auto_together_exit_2(self, tmp_path, uniform_csv, capsys):
+        argv = ["build-sample", "--table", str(uniform_csv), "--size", "7", "--auto",
+                "--u", "1", "--m", "2", "--b", "5", "--out", str(tmp_path / "s")]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == "error: pass --size or --auto, not both\n"
+        assert not (tmp_path / "s").exists()
+
     def test_domain_flags(self, tmp_path, uniform_csv, capsys):
         argv = ["build-sample", "--table", str(uniform_csv), "--size", "16", "--out", str(tmp_path / "s")]
         assert run(argv + ["--domain-lo", "-5", "--domain-hi", "105"]) == 0
@@ -226,6 +233,29 @@ class TestBoundsAndSampleSize:
     def test_d_override_must_be_positive(self, capsys):
         assert run(["sample-size", "--d-override", "0"]) == 2
         assert capsys.readouterr().err == "error: --d-override must be positive\n"
+
+    @pytest.mark.parametrize("given", [["--u", "1", "--m", "2", "--b", "5"], ["--b", "1"]], ids=["class", "b"])
+    def test_d_override_with_a_class_exits_2(self, tmp_path, uniform_csv, capsys, given):
+        both = "error: pass --d-override or --u/--m/--b, not both\n"
+        assert run(["sample-size", "--d-override", "2", *given]) == 2
+        assert capsys.readouterr().err == both
+        argv = ["build-sample", "--table", str(uniform_csv), "--auto", "--d-override", "2", *given,
+                "--out", str(tmp_path / "s")]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == both
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--c", "nan"], "c must be positive"),
+            (["--p", "0.5", "--c-prime", "nan"], "c_prime must be positive"),
+        ],
+        ids=["c", "c_prime"],
+    )
+    def test_nan_sizing_constant_exits_2(self, capsys, flags, message):
+        assert run(["sample-size", "--d-override", "2", *flags]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_sample_size_text_with_population(self, capsys):
         assert run(["sample-size", "--d-override", "16", "--population", "500"]) == 0
@@ -648,7 +678,7 @@ def _pinned_run(d, capsys, argv, out_name):
     for name, text in PINNED_FILES.items():
         (d / name).write_text(text, newline="\n")
     argv = [a.replace("<dir>", str(d)) for a in argv]
-    if out_name is not None:
+    if out_name is not None and "--out" not in argv:
         argv += ["--out", str(d / out_name)]
     capsys.readouterr()
     assert run(argv) == 0
@@ -667,8 +697,50 @@ def _estimate_argv(name, exact):
 
 _HEADER = "query_id,node_id,node_kind,exact,est_indexed,est_practitioner,s,seed\n"
 
-# case: (argv, file written with --out or None, stdout, that file's bytes)
+# case: (argv, file written or None, stdout, that file's bytes). The file is
+# written with --out, unless argv gives its own --out.
 PINNED_CASES = {
+    "bounds": (
+        ["bounds", "--u", "3", "--m", "2", "--b", "4"],
+        None,
+        "formula: general\nu: 3\nm: 2\nb: 4\nlog_base: 2.0\nbound: 47305.81437528563\ndimension: 47306\n",
+        None,
+    ),
+    "bounds-json": (
+        ["bounds", "--u", "1", "--m", "2", "--b", "5", "--log-base", "10", "--json"],
+        None,
+        '{"b": 5, "bound": 52.924106657505654, "dimension": 53, "formula": "select_boolean", '
+        '"log_base": 10.0, "m": 2, "u": 1}\n',
+        None,
+    ),
+    "sample-size": (
+        ["sample-size", "--u", "2", "--m", "1", "--b", "3", "--epsilon", "0.1"],
+        None,
+        "d: 5614\nepsilon: 0.1\ndelta: 0.05\nc: 0.5\nmode: absolute\nsample_size: 280850\n",
+        None,
+    ),
+    "sample-size-relative": (
+        ["sample-size", "--u", "1", "--m", "2", "--b", "2", "--p", "0.05", "--c-prime", "0.4",
+         "--population", "1000000"],
+        None,
+        "d: 47\nepsilon: 0.05\ndelta: 0.05\nc: 0.5\nmode: relative\nsample_size: 460145\n"
+        "p: 0.05\nc_prime: 0.4\npopulation: 1000000\n",
+        None,
+    ),
+    "sample-size-json": (
+        ["sample-size", "--d-override", "7", "--epsilon", "0.1", "--delta", "0.01", "--c", "0.6", "--json"],
+        None,
+        '{"c": 0.6, "d": 7, "delta": 0.01, "epsilon": 0.1, "mode": "absolute", "sample_size": 697}\n',
+        None,
+    ),
+    "build-sample-auto": (
+        ["build-sample", "--table", "<dir>/t.csv", "--auto", "--u", "1", "--m", "2", "--b", "5",
+         "--epsilon", "0.2", "--seed", "7", "--out", "<dir>/auto"],
+        "auto/manifest.json",
+        "wrote <dir>/auto/manifest.json: 1 sample table(s) of size 2238\n",
+        b'{\n  "seed": 7,\n  "size": 2238,\n  "tables": [\n    {\n      "base": "t",\n      "columns": [\n'
+        b'        "C1",\n        "C2"\n      ],\n      "file": "t.sample.csv"\n    }\n  ]\n}\n',
+    ),
     "build-stats": (
         ["build-stats", "--table", "<dir>/t.csv", "--table", "<dir>/u.csv", "--buckets", "2", "--mcv", "2"],
         "stats.txt",

@@ -224,15 +224,8 @@ class TestClassParams:
             "SELECT * FROM T WHERE T.C1 >= 1 OR T.C1 <= 9 OR T.C1 = 4", CATALOG
         )
         assert class_params(plan) == ClassParams(u=1, m=1, b=3)
-
-    def test_effective_b_doubles_eq_and_ne(self):
-        plan = parse_query(
-            "SELECT * FROM T WHERE T.C1 >= 1 OR T.C1 <= 9 OR T.C1 = 4", CATALOG
-        )
-        assert class_params(plan, effective_b=True).b == 4
         expr = Or(SelectionClause("C1", ComparisonOp.NE, 2), SelectionClause("C1", ComparisonOp.EQ, 3))
         assert clause_count(expr) == 2
-        assert clause_count(expr, effective=True) == 4
 
     def test_several_plans_take_the_max_of_each_field(self):
         ge, lt = ComparisonOp.GE, ComparisonOp.LT
@@ -252,7 +245,6 @@ class TestClassParams:
         assert class_params(select, join, chain) == ClassParams(u=3, m=2, b=3)
         assert class_params(chain, join, select) == ClassParams(u=3, m=2, b=3)
         assert class_params(join, chain) == ClassParams(u=3, m=1, b=1)
-        assert class_params(join, chain, effective_b=True) == ClassParams(u=3, m=1, b=2)
 
     def test_no_plans_rejected(self):
         with pytest.raises(ValueError, match="at least one plan"):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import struct
 import tempfile
 from pathlib import Path
 
@@ -519,3 +520,16 @@ class TestSidecar:
         else:
             assert loaded == f"{tmp_path / message}"
         assert loaded == _csv_route(manifest)
+
+    @pytest.mark.parametrize("shape", [(0, 2**63), (2**63, 0)], ids=["k beyond the header", "k is 0"])
+    def test_forged_shape_takes_the_csv_route(self, tmp_path, shape):
+        # A sidecar with a matching digest whose shape holds no cells.
+        manifest = tmp_path / "manifest.json"
+        entry = {"base": "A", "file": "A.sample.csv", "columns": ["C1"]}
+        manifest.write_text(json.dumps({"size": 1, "seed": 0, "tables": [entry]}))
+        csv = b"sampleindex,C1\n"
+        (tmp_path / "A.sample.csv").write_bytes(csv)
+        body = b"SELSBIN1" + struct.pack("<QQ", *shape)
+        (tmp_path / "A.sample.csv.bin").write_bytes(body + hashlib.sha256(csv + body).digest())
+        want = f"{tmp_path / 'A.sample.csv'}: sampleindex values must be exactly 1..1 with no repeats"
+        assert _loaded(manifest) == want == _csv_route(manifest)

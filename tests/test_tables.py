@@ -780,6 +780,19 @@ class TestSidecar:
         monkeypatch.undo()
         assert _read(p) == _csv_route(p)
 
+    @pytest.mark.parametrize(
+        "header,shape", [("C1,C2\n", (0, 2**63)), ("C1\n", (2**63, 0))], ids=["k beyond the header", "k is 0"]
+    )
+    def test_forged_shape_takes_the_csv_route(self, tmp_path, header, shape):
+        # The digest matches, and the recorded shape holds no cells, so it
+        # passes the length check; the header refuses it.
+        p = tmp_path / "t.csv"
+        p.write_text(header)
+        _forge(p, np.zeros((0, 1), np.int64), shape=shape)
+        assert tables.read_sidecar(p) is None
+        want = ("CsvFormatError", f"{p}: cannot infer domains of an empty table; supply a domain")
+        assert _read(p) == want == _csv_route(p)
+
     def test_header_longer_than_the_hash_chunk(self, tmp_path, monkeypatch):
         routes = TestReaderRoutes._spy_routes(monkeypatch)
         k = 12_000

@@ -3,9 +3,12 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selsample.vcbounds import (
     SampleSizeSpec,
+    Sizing,
     VcBoundReport,
     bound_boolean_combination,
     bound_general,
@@ -16,6 +19,7 @@ from selsample.vcbounds import (
     growth_function,
     sample_size_eps,
     sample_size_rel,
+    size_sample,
 )
 
 # Pinned reference sizes for epsilon = delta = 0.05, c = 0.5: (d, size).
@@ -261,6 +265,12 @@ def test_value_beyond_float_range_raises_value_error(formula):
         (lambda: bound_select_boolean(2, 2, log_base=1.0), "log base must be greater than 1"),
         (lambda: SampleSizeSpec(epsilon=0.05, delta=0.05, d=1, c_prime=0.0), "c_prime must be positive"),
         (lambda: SampleSizeSpec(epsilon=0.05, delta=0.05, d=0), "d must be positive"),
+        (lambda: SampleSizeSpec(epsilon=0.05, delta=0.05, d=1, c=math.nan), "c must be positive"),
+        (lambda: SampleSizeSpec(epsilon=0.05, delta=0.05, d=1, c_prime=math.nan), "c_prime must be positive"),
+        (lambda: SampleSizeSpec(epsilon=0.05, delta=0.05, d=math.nan), "d must be positive"),
+        (lambda: SampleSizeSpec(epsilon=math.nan, delta=0.05, d=1), r"epsilon must be in \(0, 1\)"),
+        (lambda: SampleSizeSpec(epsilon=0.05, delta=math.nan, d=1), r"delta must be in \(0, 1\)"),
+        (lambda: SampleSizeSpec(epsilon=0.05, delta=0.05, d=1, p=math.nan), r"p must be in \(0, 1\)"),
         (lambda: SampleSizeSpec(epsilon=0.05, delta=0.05, d=1, p=1.0), r"p must be in \(0, 1\)"),
         (lambda: SampleSizeSpec(epsilon=0.05, delta=0.05, d=1, population=0), "population must be at least 1"),
         (lambda: bound_boolean_combination(2, 0), "combination size h must be at least 1"),
@@ -277,6 +287,12 @@ def test_value_beyond_float_range_raises_value_error(formula):
         "log base 1",
         "c_prime 0",
         "d 0",
+        "c NaN",
+        "c_prime NaN",
+        "d NaN",
+        "epsilon NaN",
+        "delta NaN",
+        "p NaN",
         "p 1",
         "population 0",
         "combination h 0",
@@ -337,3 +353,68 @@ class TestReport:
             assert math.isfinite(v) and v > 0
             v = bound_general(2, m, b).bound
             assert math.isfinite(v) and v > 0
+
+
+def _outcome(call):
+    """What call() returns, or the type and text of the ValueError it raises."""
+    try:
+        return call()
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _chain_by_hand(epsilon, delta, u_m_b, d, c, p, c_prime, population, log_base):
+    """The size built step by step: the class's bound_general dimension, a
+    SampleSizeSpec, then the absolute or the relative formula."""
+    if u_m_b is not None:
+        d = bound_general(*u_m_b, log_base).dimension
+    spec = SampleSizeSpec(epsilon=epsilon, delta=delta, d=d, c=c, p=p, c_prime=c_prime, population=population)
+    return sample_size_rel(spec) if p is not None else sample_size_eps(spec)
+
+
+_unit = st.floats(1e-4, 0.9999)
+
+
+class TestSizeSample:
+    @given(
+        epsilon=_unit,
+        delta=_unit,
+        u_m_b=st.none() | st.tuples(st.integers(1, 4), st.integers(1, 6), st.integers(1, 6)),
+        d=st.integers(1, 10**6),
+        c=st.floats(1e-3, 10.0),
+        p=st.none() | _unit,
+        c_prime=st.floats(1e-3, 10.0),
+        population=st.none() | st.integers(1, 10**7),
+        log_base=st.sampled_from([2.0, math.e, 10.0]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_chain_by_hand(self, epsilon, delta, u_m_b, d, c, p, c_prime, population, log_base):
+        # u_m_b None means the dimension d is given directly.
+        d = d if u_m_b is None else None
+        formula = dict(c=c, p=p, c_prime=c_prime, population=population, log_base=log_base)
+        sizing = _outcome(lambda: size_sample(epsilon, delta, u_m_b=u_m_b, d=d, **formula))
+        by_hand = _outcome(lambda: _chain_by_hand(epsilon, delta, u_m_b, d, **formula))
+        if isinstance(sizing, Sizing):
+            assert sizing.size == by_hand
+            spec = SampleSizeSpec(epsilon, delta, sizing.spec.d, c, p, c_prime, population)
+            assert sizing.spec == spec and sizing.u_m_b == u_m_b and sizing.log_base == log_base
+            if u_m_b is None:
+                assert sizing.report is None and sizing.spec.d == d
+            else:
+                assert sizing.report == bound_general(*u_m_b, log_base)
+                assert sizing.spec.d == sizing.report.dimension
+        else:
+            assert sizing == by_hand
+
+    def test_record(self):
+        sizing = size_sample(0.05, 0.05, u_m_b=(1, 2, 5))
+        assert sizing.size == 35800 == sample_size_eps(SampleSizeSpec(0.05, 0.05, 176))
+        assert sizing.report.formula_id == "select_boolean"
+        assert (sizing.u_m_b, sizing.spec.d, sizing.log_base) == ((1, 2, 5), 176, 2.0)
+        assert size_sample(0.05, 0.05, d=2) == Sizing(1000, SampleSizeSpec(0.05, 0.05, 2), None, None, 2.0)
+        assert size_sample(0.05, 0.05, d=2, p=0.5).size == 1753
+
+    @pytest.mark.parametrize("given", [{}, {"u_m_b": (1, 1, 1), "d": 2}], ids=["neither", "both"])
+    def test_takes_exactly_one_of_class_and_dimension(self, given):
+        with pytest.raises(ValueError, match="^size_sample takes exactly one of u_m_b and d$"):
+            size_sample(0.05, 0.05, **given)
