@@ -75,8 +75,8 @@ def cmd_gen_data(args) -> int:
 
 
 def _sizing(args, u_m_b: tuple[int, int, int] | None = None, **formula) -> Sizing:
-    """The sample size at --epsilon, --delta and --log-base for the class
-    u_m_b, or, without it, for --d-override or the class --u/--m/--b."""
+    """The sample size at --epsilon and --delta for the class u_m_b, or,
+    without it, for --d-override or the class --u/--m/--b."""
     d = None
     if u_m_b is None:
         given = (args.u, args.m, args.b)
@@ -90,7 +90,7 @@ def _sizing(args, u_m_b: tuple[int, int, int] | None = None, **formula) -> Sizin
             raise ValueError("need --d-override or all of --u/--m/--b to derive the dimension")
         else:
             u_m_b = given
-    return size_sample(args.epsilon, args.delta, u_m_b=u_m_b, d=d, log_base=args.log_base, **formula)
+    return size_sample(args.epsilon, args.delta, u_m_b=u_m_b, d=d, **formula)
 
 
 def cmd_build_sample(args) -> int:
@@ -130,13 +130,13 @@ def _print_record(record: dict, as_json: bool) -> int:
 
 
 def cmd_bounds(args) -> int:
-    report = bound_general(args.u, args.m, args.b, args.log_base)
+    report = bound_general(args.u, args.m, args.b)
     record = {
         "formula": report.formula_id,
         "u": args.u,
         "m": args.m,
         "b": args.b,
-        "log_base": args.log_base,
+        "log_base": 2.0,
         "bound": report.bound,
         "dimension": report.dimension,
     }
@@ -231,7 +231,6 @@ def _add_dimension_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--m", type=int, default=None, help="max columns per selection predicate")
     p.add_argument("--b", type=int, default=None, help="max clauses per selection predicate")
     p.add_argument("--d-override", type=int, default=None, help="use this VC dimension directly")
-    p.add_argument("--log-base", type=float, default=2.0, help="logarithm base for bound formulas")
 
 
 @functools.cache
@@ -286,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", type=int, default=1)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
-    p.add_argument("--log-base", type=float, default=2.0)
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=cmd_bounds)
 
@@ -321,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", default=None, help="comma-separated sample sizes (default: auto)")
     p.add_argument("--epsilon", type=float, default=0.05)
     p.add_argument("--delta", type=float, default=0.05)
-    p.add_argument("--log-base", type=float, default=2.0)
     p.add_argument("--methods", default=",".join(METHODS))
     p.add_argument("--buckets", type=int, default=100)
     p.add_argument("--mcv", type=int, default=100)

@@ -227,6 +227,8 @@ def run_experiment(
     tables = list(tables)
     workload = list(workload)
     methods = list(methods)
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError("epsilon must be in (0, 1)")
     if not workload:
         raise ValueError("empty workload")
     if not methods:

@@ -549,7 +549,11 @@ def generate_correlated_table(
     if n < 0:
         raise ValueError("row count must be non-negative")
     cov = np.asarray(covariance, dtype=float)
-    if cov.shape != (2, 2) or not np.allclose(cov, cov.T):
+    if cov.shape != (2, 2):
+        raise ValueError("covariance must be a symmetric 2x2 matrix")
+    if not np.isfinite([mu, *cov.flat]).all():
+        raise ValueError("mu and the covariance entries must be finite")
+    if not np.allclose(cov, cov.T):
         raise ValueError("covariance must be a symmetric 2x2 matrix")
     try:
         np.linalg.cholesky(cov)

@@ -1,15 +1,15 @@
 """VC-dimension upper bounds for select/join query classes and matching sample sizes.
 
-Bound formulas take a configurable logarithm base (default 2, the convention
-in the VC literature). The sample-size formulas use the natural logarithm for
-the log(1/delta) term; with c = 0.5, epsilon = delta = 0.05 this gives
-ceil(200*d + 599.15), e.g. d=2 -> 1000 and d=100 -> 20600.
+Bound formulas use base-2 logarithms, the convention in the VC literature.
+The sample-size formulas use the natural logarithm for the log(1/delta)
+term; with c = 0.5, epsilon = delta = 0.05 this gives ceil(200*d + 599.15),
+e.g. d=2 -> 1000 and d=100 -> 20600.
 
 size_sample is the one place a sample is sized: from a class (u, m, b)
 through bound_general to its dimension d, or from d itself, then through
 sample_size_eps, or sample_size_rel when p is given. It returns a Sizing
 record: the size, the SampleSizeSpec the formula read, the class and its
-VcBoundReport (None when d was given), and the log base.
+VcBoundReport (None when d was given).
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 __all__ = [
-    "DEFAULT_LOG_BASE",
     "VcBoundReport",
     "SampleSizeSpec",
     "Sizing",
@@ -35,8 +34,6 @@ __all__ = [
     "sample_size_rel",
     "size_sample",
 ]
-
-DEFAULT_LOG_BASE = 2.0
 
 
 def _in_float_range(formula):
@@ -53,10 +50,9 @@ def _in_float_range(formula):
     return checked
 
 
-def _log(x: float, base: float) -> float:
-    if base <= 1.0:
-        raise ValueError("log base must be greater than 1")
-    return math.log(x) / math.log(base)
+def _log2(x: float) -> float:
+    # Not math.log2, which differs from this in the last digit of some bounds.
+    return math.log(x) / math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -123,7 +119,7 @@ def growth_function(d: int, n: int) -> int:
 
 
 @_in_float_range
-def bound_select_single(m: int, log_base: float = DEFAULT_LOG_BASE) -> VcBoundReport:
+def bound_select_single(m: int) -> VcBoundReport:
     """Bound for single-clause selections over a table with m columns: m + 1."""
     if m < 1:
         raise ValueError("m must be at least 1")
@@ -131,23 +127,19 @@ def bound_select_single(m: int, log_base: float = DEFAULT_LOG_BASE) -> VcBoundRe
 
 
 @_in_float_range
-def bound_boolean_combination(
-    d: int, h: int, log_base: float = DEFAULT_LOG_BASE
-) -> VcBoundReport:
+def bound_boolean_combination(d: int, h: int) -> VcBoundReport:
     """Bound for unions/intersections of h ranges of base dimension d: 3*d*h*log(d*h)."""
     if d < 2:
         raise ValueError("base dimension d must be at least 2")
     if h < 1:
         raise ValueError("combination size h must be at least 1")
     dh = d * h
-    value = 3.0 * dh * _log(dh, log_base)
+    value = 3.0 * dh * _log2(dh)
     return VcBoundReport(value, "boolean_combination")
 
 
 @_in_float_range
-def bound_select_boolean(
-    m: int, b: int, log_base: float = DEFAULT_LOG_BASE
-) -> VcBoundReport:
+def bound_select_boolean(m: int, b: int) -> VcBoundReport:
     """Bound for b-clause selections over m columns: 3*(m+1)*b*log((m+1)*b).
 
     For b = 1 the single-clause bound m + 1 also applies and the minimum of
@@ -158,29 +150,24 @@ def bound_select_boolean(
     if b < 1:
         raise ValueError("b must be at least 1")
     x = (m + 1) * b
-    value = 3.0 * x * _log(x, log_base)
+    value = 3.0 * x * _log2(x)
     if b == 1:
         value = min(value, float(m + 1))
     return VcBoundReport(value, "select_boolean")
 
 
 @_in_float_range
-def bound_join_pair(v1: int, v2: int, log_base: float = DEFAULT_LOG_BASE) -> VcBoundReport:
+def bound_join_pair(v1: int, v2: int) -> VcBoundReport:
     """Bound for a two-table join over select classes of dims v1, v2: 3*(v1+v2)*log(v1+v2)."""
     if v1 < 2 or v2 < 2:
         raise ValueError("per-side dimensions must be at least 2")
     total = v1 + v2
-    value = 3.0 * total * _log(total, log_base)
+    value = 3.0 * total * _log2(total)
     return VcBoundReport(value, "join_pair")
 
 
 @_in_float_range
-def bound_multi_join(
-    u: int,
-    dims: Sequence[int],
-    m: int | None = None,
-    log_base: float = DEFAULT_LOG_BASE,
-) -> VcBoundReport:
+def bound_multi_join(u: int, dims: Sequence[int], m: int | None = None) -> VcBoundReport:
     """Bound for u-table multi-joins over select classes of dims v_i.
 
     Evaluates 4*u*(sum v_i)*log(u * sum v_i). The formula assumes m (the max
@@ -199,16 +186,14 @@ def bound_multi_join(
         raise ValueError(
             f"assumption violated: m={m} exceeds the sum of per-table dimensions {total}"
         )
-    value = 4.0 * u * total * _log(u * total, log_base)
+    value = 4.0 * u * total * _log2(u * total)
     if u == 2:
-        value = min(value, bound_join_pair(dims[0], dims[1], log_base).bound)
+        value = min(value, bound_join_pair(dims[0], dims[1]).bound)
     return VcBoundReport(value, "multi_join")
 
 
 @_in_float_range
-def bound_general(
-    u: int, m: int, b: int, log_base: float = DEFAULT_LOG_BASE
-) -> VcBoundReport:
+def bound_general(u: int, m: int, b: int) -> VcBoundReport:
     """General bound for classes with up to u select and u-1 join operations.
 
     Evaluates 12*u^2*(m+1)*b*log((m+1)*b) * log(3*u^2*(m+1)*b*log((m+1)*b)).
@@ -222,10 +207,10 @@ def bound_general(
     if b < 1:
         raise ValueError("b must be at least 1")
     if u == 1:
-        return bound_select_boolean(m, b, log_base)
+        return bound_select_boolean(m, b)
     x = (m + 1) * b
-    inner_value = 3.0 * u * u * x * _log(x, log_base)
-    value = 4.0 * inner_value * _log(inner_value, log_base)
+    inner_value = 3.0 * u * u * x * _log2(x)
+    value = 4.0 * inner_value * _log2(inner_value)
     return VcBoundReport(value, "general")
 
 
@@ -274,7 +259,6 @@ class Sizing:
     spec: SampleSizeSpec
     u_m_b: tuple[int, int, int] | None
     report: VcBoundReport | None
-    log_base: float
 
 
 def size_sample(
@@ -287,7 +271,6 @@ def size_sample(
     p: float | None = None,
     c_prime: float = 0.5,
     population: int | None = None,
-    log_base: float = DEFAULT_LOG_BASE,
 ) -> Sizing:
     """The sample size for an (epsilon, delta) guarantee over the class u_m_b,
     or over a class of VC dimension d; exactly one of the two is given.
@@ -298,7 +281,7 @@ def size_sample(
     """
     if (u_m_b is None) == (d is None):
         raise ValueError("size_sample takes exactly one of u_m_b and d")
-    report = None if u_m_b is None else bound_general(*u_m_b, log_base)
+    report = None if u_m_b is None else bound_general(*u_m_b)
     spec = SampleSizeSpec(epsilon, delta, d if report is None else report.dimension, c, p, c_prime, population)
     size = sample_size_eps(spec) if p is None else sample_size_rel(spec)
-    return Sizing(size, spec, u_m_b, report, log_base)
+    return Sizing(size, spec, u_m_b, report)

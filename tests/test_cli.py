@@ -73,6 +73,17 @@ class TestGenData:
         assert run(argv) == 2
         assert capsys.readouterr().err == "error: --cov takes three values: var1,cov12,var2\n"
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--cov", "inf,0,inf"], ["--mu", "inf"], ["--mu", "nan"], ["--cov", "nan,0,1"]],
+        ids=["cov inf", "mu inf", "mu nan", "cov nan"],
+    )
+    def test_correlated_non_finite_input_exits_2(self, tmp_path, capsys, flags):
+        out = tmp_path / "x.csv"
+        assert run(["gen-data", "--kind", "correlated", "--rows", "5", *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: mu and the covariance entries must be finite\n"
+        assert not out.exists()
+
     def test_deterministic_bytes(self, tmp_path):
         args = [
             "gen-data", "--kind", "uniform", "--rows", "100", "--cols", "2",
@@ -256,6 +267,23 @@ class TestBoundsAndSampleSize:
     def test_nan_sizing_constant_exits_2(self, capsys, flags, message):
         assert run(["sample-size", "--d-override", "2", *flags]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    # Bounds use base-2 logarithms only, so no command takes a base.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "--m", "1", "--b", "1"],
+            ["sample-size", "--u", "1", "--m", "1", "--b", "1"],
+            ["build-sample", "--table", "t.csv", "--auto", "--u", "1", "--m", "1", "--b", "1", "--out", "s"],
+            ["experiment", "--table", "t.csv", "--workload-m", "1", "--workload-b", "1", "--out-dir", "e"],
+        ],
+        ids=["bounds", "sample-size", "build-sample", "experiment"],
+    )
+    def test_log_base_is_refused(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run([*argv, "--log-base", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --log-base 2" in capsys.readouterr().err
 
     def test_sample_size_text_with_population(self, capsys):
         assert run(["sample-size", "--d-override", "16", "--population", "500"]) == 0
@@ -590,6 +618,17 @@ class TestExperiment:
         assert capsys.readouterr().err == "error: sample size 300 is given more than once\n"
         assert not (tmp_path / "exp").exists()
 
+    # With --sizes given, no sizing formula reads epsilon, so the
+    # experiment checks it itself.
+    @pytest.mark.parametrize("epsilon", ["nan", "2", "0"])
+    def test_epsilon_outside_unit_interval_exits_2(self, tmp_path, uniform_csv, capsys, epsilon):
+        argv = self._args(uniform_csv, tmp_path / "exp")
+        argv[argv.index("--epsilon") + 1] = epsilon
+        capsys.readouterr()
+        assert run(argv) == 2
+        assert capsys.readouterr().err == "error: epsilon must be in (0, 1)\n"
+        assert not (tmp_path / "exp").exists()
+
     def test_workload_b_beyond_the_parse_limit_exits_2(self, tmp_path, uniform_csv, capsys):
         argv = self._args(uniform_csv, tmp_path / "exp")
         argv[argv.index("--workload-b") + 1] = "3000"
@@ -707,10 +746,10 @@ PINNED_CASES = {
         None,
     ),
     "bounds-json": (
-        ["bounds", "--u", "1", "--m", "2", "--b", "5", "--log-base", "10", "--json"],
+        ["bounds", "--u", "1", "--m", "2", "--b", "5", "--json"],
         None,
-        '{"b": 5, "bound": 52.924106657505654, "dimension": 53, "formula": "select_boolean", '
-        '"log_base": 10.0, "m": 2, "u": 1}\n',
+        '{"b": 5, "bound": 175.81007680238335, "dimension": 176, "formula": "select_boolean", '
+        '"log_base": 2.0, "m": 2, "u": 1}\n',
         None,
     ),
     "sample-size": (

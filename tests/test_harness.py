@@ -1,5 +1,7 @@
 """Workload generation, percent-error metric, and the experiment runner."""
 
+import math
+
 import pytest
 
 from conftest import make_table
@@ -192,6 +194,11 @@ class TestRunExperiment:
             run_experiment([T100], workload, [], 0.05, ["indexed"], seed=1)
         with pytest.raises(ValueError, match="workload"):
             run_experiment([T100], [], [5], 0.05, ["indexed"], seed=1)
+
+    @pytest.mark.parametrize("epsilon", [math.nan, 0.0, 1.0, 2.0, -0.1])
+    def test_epsilon_outside_unit_interval_rejected(self, epsilon):
+        with pytest.raises(ValueError, match=r"^epsilon must be in \(0, 1\)$"):
+            run_experiment([T100], [SelectLeaf("T", None)], [5], epsilon, ["indexed"], seed=1)
 
     def test_no_methods(self):
         with pytest.raises(ValueError, match="^no methods requested$"):

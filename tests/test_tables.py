@@ -280,6 +280,21 @@ class TestCorrelatedGenerator:
         with pytest.raises(ValueError, match="symmetric"):
             generate_correlated_table("T", 10, 0.0, [[1.0, 0.5], [0.2, 1.0]], Domain(0, 10), seed=0)
 
+    @pytest.mark.parametrize(
+        "mu,cov",
+        [
+            (0.0, [[np.inf, 0.0], [0.0, np.inf]]),
+            (np.inf, [[1.0, 0.0], [0.0, 1.0]]),
+            (np.nan, [[1.0, 0.0], [0.0, 1.0]]),
+            (0.0, [[np.nan, 0.0], [0.0, 1.0]]),
+            (0.0, [[1.0, -np.inf], [-np.inf, 1.0]]),
+        ],
+        ids=["cov inf", "mu inf", "mu nan", "cov nan", "cov12 -inf"],
+    )
+    def test_non_finite_input_rejected(self, mu, cov):
+        with pytest.raises(ValueError, match="^mu and the covariance entries must be finite$"):
+            generate_correlated_table("T", 5, mu, cov, Domain(0, 200000), seed=0)
+
     @pytest.mark.parametrize("rho", [0.0, 0.9])
     def test_empirical_correlation(self, rho):
         # Sample-correlation oracle: np.corrcoef on the generated columns.

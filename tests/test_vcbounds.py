@@ -262,7 +262,6 @@ def test_value_beyond_float_range_raises_value_error(formula):
 @pytest.mark.parametrize(
     "call,message",
     [
-        (lambda: bound_select_boolean(2, 2, log_base=1.0), "log base must be greater than 1"),
         (lambda: SampleSizeSpec(epsilon=0.05, delta=0.05, d=1, c_prime=0.0), "c_prime must be positive"),
         (lambda: SampleSizeSpec(epsilon=0.05, delta=0.05, d=0), "d must be positive"),
         (lambda: SampleSizeSpec(epsilon=0.05, delta=0.05, d=1, c=math.nan), "c must be positive"),
@@ -284,7 +283,6 @@ def test_value_beyond_float_range_raises_value_error(formula):
         (lambda: bound_general(2, 1, 0), "b must be at least 1"),
     ],
     ids=[
-        "log base 1",
         "c_prime 0",
         "d 0",
         "c NaN",
@@ -338,13 +336,8 @@ class TestReport:
             VcBoundReport(0.5, "x")
 
     def test_fields(self):
-        rep = bound_select_boolean(2, 3, log_base=2.0)
+        rep = bound_select_boolean(2, 3)
         assert rep.formula_id == "select_boolean"
-
-    def test_log_base_changes_value(self):
-        b2 = bound_select_boolean(2, 2, log_base=2.0).bound
-        be = bound_select_boolean(2, 2, log_base=math.e).bound
-        assert b2 == pytest.approx(be / math.log(2), rel=1e-12)
 
     def test_reference_parameter_combos_finite_positive(self):
         select_combos = [(1, 1), (1, 2), (1, 3), (1, 5), (1, 8), (2, 2), (2, 3), (2, 5), (2, 8), (5, 5)]
@@ -363,11 +356,11 @@ def _outcome(call):
         return type(exc).__name__, str(exc)
 
 
-def _chain_by_hand(epsilon, delta, u_m_b, d, c, p, c_prime, population, log_base):
+def _chain_by_hand(epsilon, delta, u_m_b, d, c, p, c_prime, population):
     """The size built step by step: the class's bound_general dimension, a
     SampleSizeSpec, then the absolute or the relative formula."""
     if u_m_b is not None:
-        d = bound_general(*u_m_b, log_base).dimension
+        d = bound_general(*u_m_b).dimension
     spec = SampleSizeSpec(epsilon=epsilon, delta=delta, d=d, c=c, p=p, c_prime=c_prime, population=population)
     return sample_size_rel(spec) if p is not None else sample_size_eps(spec)
 
@@ -385,23 +378,22 @@ class TestSizeSample:
         p=st.none() | _unit,
         c_prime=st.floats(1e-3, 10.0),
         population=st.none() | st.integers(1, 10**7),
-        log_base=st.sampled_from([2.0, math.e, 10.0]),
     )
     @settings(max_examples=300, deadline=None)
-    def test_equals_the_chain_by_hand(self, epsilon, delta, u_m_b, d, c, p, c_prime, population, log_base):
+    def test_equals_the_chain_by_hand(self, epsilon, delta, u_m_b, d, c, p, c_prime, population):
         # u_m_b None means the dimension d is given directly.
         d = d if u_m_b is None else None
-        formula = dict(c=c, p=p, c_prime=c_prime, population=population, log_base=log_base)
+        formula = dict(c=c, p=p, c_prime=c_prime, population=population)
         sizing = _outcome(lambda: size_sample(epsilon, delta, u_m_b=u_m_b, d=d, **formula))
         by_hand = _outcome(lambda: _chain_by_hand(epsilon, delta, u_m_b, d, **formula))
         if isinstance(sizing, Sizing):
             assert sizing.size == by_hand
             spec = SampleSizeSpec(epsilon, delta, sizing.spec.d, c, p, c_prime, population)
-            assert sizing.spec == spec and sizing.u_m_b == u_m_b and sizing.log_base == log_base
+            assert sizing.spec == spec and sizing.u_m_b == u_m_b
             if u_m_b is None:
                 assert sizing.report is None and sizing.spec.d == d
             else:
-                assert sizing.report == bound_general(*u_m_b, log_base)
+                assert sizing.report == bound_general(*u_m_b)
                 assert sizing.spec.d == sizing.report.dimension
         else:
             assert sizing == by_hand
@@ -410,8 +402,8 @@ class TestSizeSample:
         sizing = size_sample(0.05, 0.05, u_m_b=(1, 2, 5))
         assert sizing.size == 35800 == sample_size_eps(SampleSizeSpec(0.05, 0.05, 176))
         assert sizing.report.formula_id == "select_boolean"
-        assert (sizing.u_m_b, sizing.spec.d, sizing.log_base) == ((1, 2, 5), 176, 2.0)
-        assert size_sample(0.05, 0.05, d=2) == Sizing(1000, SampleSizeSpec(0.05, 0.05, 2), None, None, 2.0)
+        assert (sizing.u_m_b, sizing.spec.d) == ((1, 2, 5), 176)
+        assert size_sample(0.05, 0.05, d=2) == Sizing(1000, SampleSizeSpec(0.05, 0.05, 2), None, None)
         assert size_sample(0.05, 0.05, d=2, p=0.5).size == 1753
 
     @pytest.mark.parametrize("given", [{}, {"u_m_b": (1, 1, 1), "d": 2}], ids=["neither", "both"])
