@@ -195,6 +195,9 @@ def cmd_experiment(args) -> int:
     workload = generate_workload(spec, tables)
     methods = [m for m in args.methods.split(",") if m]
     if args.sizes:
+        # No sizing formula reads --delta here, so check it as the automatic size does.
+        if not 0.0 < args.delta < 1.0:
+            raise ValueError("delta must be in (0, 1)")
         sizes = [int(part) for part in args.sizes.split(",") if part]
     else:
         params = class_params(*workload)

@@ -11,9 +11,10 @@ import hashlib
 import os
 import re
 import struct
+import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import BinaryIO, Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
@@ -241,8 +242,12 @@ def read_int_csv(path: str | Path, columns: Sequence[str] | None = None) -> tupl
     parser in numpy byte arithmetic took 23-27 ms against 8.4 ms for
     np.loadtxt; np.fromstring(sep=",") takes 5.8 ms, but reads "-" as 0 and
     -9300000000000000000 as INT64_MAX. Files that save_csv or save_sample
-    wrote are read from their binary sidecar instead (see read_sidecar),
-    whose SHA-256 digest takes 2.0 ms for 2.9 MB where blake2b takes 3.7 ms.
+    wrote are read from their binary sidecar instead (see read_sidecar).
+    Its digest is a two-leaf SHA-256 tree, whose leaves, the CSV and the
+    payload, two threads hash at once: read_csv of 2.9 MB of files takes
+    2.2-2.3 ms. The form to avoid is one serial SHA-256 stream, which one
+    core hashes alone: 3.3-3.7 ms. SHA-256 beats blake2b here, 2.0 against
+    3.7 ms for 2.9 MB.
     """
     p = Path(path)
     if not p.is_file():
@@ -394,29 +399,81 @@ def write_int_csv(path: str | Path, names: Sequence[str], matrix: np.ndarray) ->
 
 # A sidecar is the CSV file's name plus ".bin". It holds the format tag, the
 # shape (n, k) as two little-endian uint64, the n x k matrix as little-endian
-# int64 in column-major order, and last a SHA-256 digest over the CSV's bytes
-# followed by everything before the digest.
-_SIDECAR_TAG = b"SELSBIN1"
+# int64 in column-major order, and last a SHA-256 digest: the root of a
+# two-leaf tree, SHA-256(tag, shape, SHA-256(the CSV's bytes), SHA-256(the
+# matrix's bytes)). A collision in the root needs one in SHA-256.
+_SIDECAR_TAG = b"SELSBIN2"
 _SIDECAR_HEAD = len(_SIDECAR_TAG) + 16
 _DIGEST_BYTES = 32
 # read_sidecar hashes the CSV after its header line in pieces of this many bytes.
 _HASH_CHUNK = 1 << 16
+_T = TypeVar("_T")
 
 
 def _sidecar(csv_path: Path) -> Path:
     return csv_path.with_name(csv_path.name + ".bin")
 
 
+def _with_leaf(leaf: Callable[[], bytes], work: Callable[[], _T]) -> tuple[bytes, _T]:
+    """(leaf(), work()), with leaf on one worker thread while work runs on
+    this one: hashlib and readinto release the GIL, so the two overlap. The
+    worker is joined before this returns or raises. An exception in work is
+    raised first, then one in leaf. Where no thread can start, leaf runs here
+    first."""
+    got: list = []
+
+    def run() -> None:
+        try:
+            got.append(leaf())
+        except BaseException as exc:  # raised again on this thread, below
+            got.append(exc)
+
+    worker: threading.Thread | None = threading.Thread(target=run)
+    try:
+        worker.start()
+    except RuntimeError:  # no thread can start
+        worker = None
+        run()
+    try:
+        done = work()
+    finally:
+        if worker is not None:
+            worker.join()
+    if isinstance(got[0], BaseException):
+        raise got[0]
+    return got[0], done
+
+
+def _root(head: bytes, csv_leaf: bytes, payload_leaf: bytes) -> bytes:
+    return hashlib.sha256(head + csv_leaf + payload_leaf).digest()
+
+
 def write_sidecar(path: str | Path, csv: bytes, matrix: np.ndarray) -> None:
     """Write the binary sidecar of CSV file `path`, whose bytes are `csv`,
     holding `matrix`: the CSV's rows, or their columns after a leading key
-    column (see read_sidecar)."""
+    column (see read_sidecar). The CSV's leaf is hashed on a worker thread
+    while this one lays out and hashes the payload: for a 1e5 x 2 table
+    (2-core VM, Python 3.11, numpy 2.4), file write included, 3.9-4.0 ms,
+    where the form to avoid, one serial SHA-256 stream over the CSV, the
+    head and the payload, took 4.6-4.8 ms."""
     head = _SIDECAR_TAG + struct.pack("<QQ", *matrix.shape)
-    payload = matrix.astype("<i8", copy=False).tobytes(order="F")
-    digest = hashlib.sha256(csv)
-    digest.update(head)
-    digest.update(payload)
-    _sidecar(Path(path)).write_bytes(b"".join((head, payload, digest.digest())))
+
+    def payload() -> tuple[bytes, bytes]:
+        data = matrix.astype("<i8", copy=False).tobytes(order="F")
+        return data, hashlib.sha256(data).digest()
+
+    csv_leaf, (data, payload_leaf) = _with_leaf(lambda: hashlib.sha256(csv).digest(), payload)
+    _sidecar(Path(path)).write_bytes(b"".join((head, data, _root(head, csv_leaf, payload_leaf))))
+
+
+def _csv_leaf(first: bytes, csv: BinaryIO) -> bytes:
+    """SHA-256 over the CSV's header line `first` and the rest of file csv,
+    read in _HASH_CHUNK pieces through one reused buffer."""
+    digest = hashlib.sha256(first)
+    chunk = memoryview(bytearray(_HASH_CHUNK))
+    while got := csv.readinto(chunk):
+        digest.update(chunk[:got])
+    return digest.digest()
 
 
 def read_sidecar(path: str | Path, columns: Sequence[str] | None = None) -> tuple[list[str], np.ndarray] | None:
@@ -428,27 +485,33 @@ def read_sidecar(path: str | Path, columns: Sequence[str] | None = None) -> tupl
     - the CSV's header line is ASCII and equals `columns` when given, and
       consists of valid column names otherwise;
     - k lies in 1..the header's column count, so the length check bounds n;
-    - its digest matches the CSV's bytes, the tag, the shape and the payload.
+    - its root digest matches the tag, the shape, the CSV's bytes and the
+      payload.
     A matching digest shows that write_sidecar wrote this CSV and this matrix
     together. The caller checks that (n, k) fits the header exactly: a
     sample's matrix leaves out the CSV's leading sampleindex column. An
     OSError, or a sidecar that shrinks or grows while it is read, gives None
-    too.
+    too. So does a sidecar in an earlier format, whose CSV is then parsed.
 
     The returned matrix is new and read-only, and it is the read's one
     allocation of the files' size, so read_csv and load_sample hand it to
     their Table to keep (see _Owned). The CSV's header line is read with
     readline, which reads the buffered file's pieces until the line is
-    complete, and checked; the rest of the CSV is hashed in _HASH_CHUNK
-    pieces through one reused buffer. The payload is read with readinto
-    straight into a new np.empty(n * k, "<i8") buffer, hashed from there,
-    and reshaped in Fortran order, which is a view. For a 1e5 x 2 table
-    (2-core VM, Python 3.11, numpy 2.4), read_csv takes 3.0-3.9 ms with no
-    minor page faults, and its traced peak is 1.60 MiB for the 1.53 MiB
-    matrix. The form to avoid reads each file whole as bytes, takes
-    np.frombuffer over the payload and lets the Table copy that view: three
-    allocations of the files' size, 5.1-6.4 ms with about 750 faults and a
-    3.06 MiB peak.
+    complete, and checked. Then the two leaves are hashed at once (see
+    _with_leaf): a worker thread hashes the header line and the rest of the
+    CSV in _HASH_CHUNK pieces through one reused buffer, while this thread
+    reads the payload with readinto straight into a new np.empty(n * k,
+    "<i8") buffer, hashes it from there, and reshapes it in Fortran order,
+    which is a view. For a 1e5 x 2 table, 2.9 MB of files (2-core VM, Python
+    3.11, numpy 2.4), read_csv takes 2.2-2.3 ms with one minor page fault,
+    the worker's, and its traced peak is 1.60 MiB for the 1.53 MiB matrix.
+    Two forms to avoid: one serial SHA-256 stream over the CSV, the head and
+    the payload, which no second core can share, takes 3.3-3.7 ms; and
+    reading each file whole as bytes, then np.frombuffer over the payload
+    and a Table copy of that view, makes three allocations of the files'
+    size and takes 5.1-6.4 ms with about 750 faults and a 3.06 MiB peak.
+    load_sample of a 35,800-row sample, 1.2 MB, stays at 1.3-1.7 ms: there
+    the thread costs about what it saves.
     """
     p = Path(path)
     try:
@@ -470,19 +533,18 @@ def read_sidecar(path: str | Path, columns: Sequence[str] | None = None) -> tupl
                 return None
             if not 1 <= k <= len(names):
                 return None
-            digest = hashlib.sha256(first)
-            chunk = memoryview(bytearray(_HASH_CHUNK))
-            while got := csv.readinto(chunk):
-                digest.update(chunk[:got])
-            digest.update(head)
             m = np.empty(n * k, "<i8")
-            if side.readinto(memoryview(m).cast("B")) != m.nbytes:
-                return None
-            stored = side.read(_DIGEST_BYTES + 1)
+
+            def payload() -> tuple[bytes, bytes] | None:
+                if side.readinto(memoryview(m).cast("B")) != m.nbytes:
+                    return None
+                return hashlib.sha256(m).digest(), side.read(_DIGEST_BYTES + 1)
+
+            csv_leaf, read = _with_leaf(lambda: _csv_leaf(first, csv), payload)
     except OSError:
         return None
-    digest.update(m)
-    if digest.digest() != stored:  # also a digest cut short or followed by more bytes
+    # A digest cut short or followed by more bytes matches no root.
+    if read is None or _root(head, csv_leaf, read[0]) != read[1]:
         return None
     m.flags.writeable = False
     return names, m.reshape((n, k), order="F")

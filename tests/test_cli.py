@@ -629,6 +629,19 @@ class TestExperiment:
         assert capsys.readouterr().err == "error: epsilon must be in (0, 1)\n"
         assert not (tmp_path / "exp").exists()
 
+    # Nor does one read delta: the experiment refuses a delta outside
+    # (0, 1) as the automatic size does.
+    @pytest.mark.parametrize("sizes", [True, False], ids=["--sizes", "automatic size"])
+    @pytest.mark.parametrize("delta", ["nan", "2", "0"])
+    def test_delta_outside_unit_interval_exits_2(self, tmp_path, uniform_csv, capsys, delta, sizes):
+        argv = self._args(uniform_csv, tmp_path / "exp") + ["--delta", delta]
+        if not sizes:
+            del argv[argv.index("--sizes"):argv.index("--sizes") + 2]
+        capsys.readouterr()
+        assert run(argv) == 2
+        assert capsys.readouterr().err == "error: delta must be in (0, 1)\n"
+        assert not (tmp_path / "exp").exists()
+
     def test_workload_b_beyond_the_parse_limit_exits_2(self, tmp_path, uniform_csv, capsys):
         argv = self._args(uniform_csv, tmp_path / "exp")
         argv[argv.index("--workload-b") + 1] = "3000"

@@ -440,6 +440,13 @@ def _earlier_format(d: Path) -> None:
     p.write_bytes(hashlib.sha256((d / "A.sample.csv").read_bytes() + payload).digest() + payload)
 
 
+def _previous_format(d: Path) -> None:
+    # The tag SELSBIN1 and one serial SHA-256 stream over the CSV, the head and the payload.
+    p = d / "A.sample.csv.bin"
+    body = b"SELSBIN1" + p.read_bytes()[8:-32]
+    p.write_bytes(body + hashlib.sha256((d / "A.sample.csv").read_bytes() + body).digest())
+
+
 def _reorder_rows(d: Path) -> None:
     p = d / "A.sample.csv"
     header, *lines = p.read_text().splitlines()
@@ -475,13 +482,15 @@ class TestSidecar:
         sdb = create_sample(2, [make_table("T", [(6, -7)], domain=(-10, 10))], seed=0)
         save_sample(sdb, tmp_path)
         data = (tmp_path / "T.sample.csv.bin").read_bytes()
-        # The tag, the shape (2, 2), the payload without sampleindex, the digest.
-        head = b"SELSBIN1" + bytes([2] + [0] * 7 + [2] + [0] * 7)
+        # The tag, the shape (2, 2), the payload without sampleindex, the
+        # root digest over the head and the two leaves.
+        head = b"SELSBIN2" + bytes([2] + [0] * 7 + [2] + [0] * 7)
         payload = np.array([6, 6, -7, -7], dtype="<i8").tobytes()
         assert data[:-32] == head + payload
         csv = b"sampleindex,C1,C2\n1,6,-7\n2,6,-7\n"
         assert (tmp_path / "T.sample.csv").read_bytes() == csv
-        assert data[-32:] == hashlib.sha256(csv + head + payload).digest()
+        leaves = hashlib.sha256(csv).digest() + hashlib.sha256(payload).digest()
+        assert data[-32:] == hashlib.sha256(head + leaves).digest()
 
     @pytest.mark.parametrize(
         "edit,message",
@@ -490,6 +499,7 @@ class TestSidecar:
             (lambda d: (d / "A.sample.csv.bin").write_bytes((d / "A.sample.csv.bin").read_bytes()[:-8]), None),
             (_flip_payload_byte, None),
             (_earlier_format, None),
+            (_previous_format, None),
             (_reorder_rows, None),
             (_edit_manifest("size", 41), "A.sample.csv: sampleindex values must be exactly 1..41 with no repeats"),
             (
@@ -502,6 +512,7 @@ class TestSidecar:
             "truncated",
             "payload byte flipped",
             "earlier format",
+            "previous format",
             "rows reordered",
             "size edited",
             "columns edited",
@@ -529,7 +540,8 @@ class TestSidecar:
         manifest.write_text(json.dumps({"size": 1, "seed": 0, "tables": [entry]}))
         csv = b"sampleindex,C1\n"
         (tmp_path / "A.sample.csv").write_bytes(csv)
-        body = b"SELSBIN1" + struct.pack("<QQ", *shape)
-        (tmp_path / "A.sample.csv.bin").write_bytes(body + hashlib.sha256(csv + body).digest())
+        head = b"SELSBIN2" + struct.pack("<QQ", *shape)
+        leaves = hashlib.sha256(csv).digest() + hashlib.sha256(b"").digest()
+        (tmp_path / "A.sample.csv.bin").write_bytes(head + hashlib.sha256(head + leaves).digest())
         want = f"{tmp_path / 'A.sample.csv'}: sampleindex values must be exactly 1..1 with no repeats"
         assert _loaded(manifest) == want == _csv_route(manifest)

@@ -4,7 +4,9 @@ import hashlib
 import os
 import shutil
 import struct
+import sys
 import tempfile
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -615,12 +617,27 @@ class TestReaderRoutes:
             assert tables._read_whole(p, None) is None
 
 
-def _sidecar_bytes(csv: bytes, m: np.ndarray, tag: bytes = b"SELSBIN1", shape=None, order="F") -> bytes:
+def _tree_digest(csv: bytes, head: bytes, payload: bytes) -> bytes:
+    """The sidecar's root: SHA-256 over the tag and the shape, then the
+    SHA-256 of the CSV's bytes and that of the payload."""
+    return hashlib.sha256(head + hashlib.sha256(csv).digest() + hashlib.sha256(payload).digest()).digest()
+
+
+def _serial_digest(csv: bytes, head: bytes, payload: bytes) -> bytes:
+    """The previous format's digest: one SHA-256 over the CSV's bytes, the
+    tag, the shape and the payload."""
+    return hashlib.sha256(csv + head + payload).digest()
+
+
+def _sidecar_bytes(
+    csv: bytes, m: np.ndarray, tag: bytes = b"SELSBIN2", shape=None, order="F", digest=_tree_digest
+) -> bytes:
     """A sidecar laid out by the format, with a matching digest: the tag, the
     shape (n, k) as two little-endian uint64, the matrix as little-endian
-    int64, then SHA-256 over the CSV's bytes and everything before it."""
-    body = tag + struct.pack("<QQ", *(m.shape if shape is None else shape)) + m.astype("<i8").tobytes(order=order)
-    return body + hashlib.sha256(csv + body).digest()
+    int64, then the digest."""
+    head = tag + struct.pack("<QQ", *(m.shape if shape is None else shape))
+    payload = m.astype("<i8").tobytes(order=order)
+    return head + payload + digest(csv, head, payload)
 
 
 def _forge(p: Path, m: np.ndarray, **layout) -> Path:
@@ -744,8 +761,10 @@ class TestSidecar:
             _sidecar_of("v"),
             _sidecar_of("u"),
             _earlier_sidecar_format,
-            # Another format's tag over a row-major payload, with a matching digest.
-            lambda d: _forge(d / "t.csv", _T, tag=b"SELSBIN2", order="C"),
+            # A tag that is not the current one over a row-major payload, with a matching digest.
+            lambda d: _forge(d / "t.csv", _T, tag=b"SELSBIN3", order="C"),
+            # The previous format: its tag and one serial SHA-256 stream.
+            lambda d: _forge(d / "t.csv", _T, tag=b"SELSBIN1", digest=_serial_digest),
             lambda d: _forge(d / "t.csv", _T[:-1], shape=_T.shape),
             _edit_sidecar(_flip_first_payload_byte),
             _edit_sidecar(lambda data: data + b"\0"),
@@ -761,6 +780,7 @@ class TestSidecar:
             "sidecar of another shape",
             "earlier sample sidecar format",
             "another format tag",
+            "previous format",
             "shape beyond the payload",
             "payload byte flipped",
             "byte appended",
@@ -817,6 +837,115 @@ class TestSidecar:
         assert p.read_bytes().index(b"\n") > tables._HASH_CHUNK
         assert _read(p) == t == _csv_route(p)
         assert routes == {"whole": [True], "sidecar": [True, False]}
+
+    _FLIPS = {
+        "CSV leaf, first row": ("t.csv", lambda data: data.index(b"\n") + 1),
+        "CSV leaf, last piece": ("t.csv", lambda data: len(data) - 2),
+        "payload leaf, first byte": ("t.csv.bin", lambda data: tables._SIDECAR_HEAD),
+        "payload leaf, last byte": ("t.csv.bin", lambda data: len(data) - tables._DIGEST_BYTES - 1),
+    }
+
+    @pytest.mark.parametrize("case", list(_FLIPS))
+    def test_flipped_byte_in_a_leaf_is_refused(self, tmp_path, case):
+        name, where = self._FLIPS[case]
+        p = tmp_path / "t.csv"
+        save_csv(generate_uniform_table("t", 20_000, 2, Domain(0, 200_000), seed=3), p)
+        assert p.stat().st_size > 2 * tables._HASH_CHUNK
+        data = bytearray((tmp_path / name).read_bytes())
+        at = where(data)
+        # A CSV digit stays a digit, so the CSV still parses.
+        data[at] = ord("0") + (data[at] - ord("0") + 1) % 10 if name == "t.csv" else data[at] ^ 1
+        (tmp_path / name).write_bytes(data)
+        assert tables.read_sidecar(p) is None
+        assert _read(p) == _csv_route(p)
+
+    @pytest.mark.parametrize(
+        "error", [OSError(5, "Input/output error"), MemoryError()], ids=["OSError gives None", "another error is raised"]
+    )
+    def test_error_in_the_csv_leaf(self, tmp_path, monkeypatch, error):
+        p = tmp_path / "t.csv"
+        save_csv(generate_uniform_table("t", 2_000, 2, Domain(0, 200_000), seed=3), p)
+        readers = []
+        real_open = open
+
+        class Unreadable:
+            """The CSV file, whose readinto fails."""
+
+            def __init__(self, f):
+                self._f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self._f.close()
+
+            def readline(self):
+                return self._f.readline()
+
+            def readinto(self, buffer):
+                readers.append(threading.current_thread())
+                raise error
+
+        def open_csv(file, *args, **kwargs):
+            f = real_open(file, *args, **kwargs)
+            return Unreadable(f) if Path(file) == p else f
+
+        monkeypatch.setattr(tables, "open", open_csv, raising=False)
+        threads = threading.active_count()
+        if isinstance(error, OSError):
+            assert tables.read_sidecar(p) is None
+        else:
+            with pytest.raises(MemoryError):
+                tables.read_sidecar(p)
+        assert threading.active_count() == threads
+        assert len(readers) == 1 and readers[0] is not threading.current_thread()
+        monkeypatch.undo()
+        assert _read(p) == _csv_route(p)
+
+    def test_no_thread_can_start(self, tmp_path, monkeypatch):
+        starts = []
+
+        def refuse(thread):
+            starts.append(thread)
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        t = generate_uniform_table("t", 20_000, 2, Domain(0, 200_000), seed=3)
+        p = tmp_path / "t.csv"
+        save_csv(t, p)
+        names, m = tables.read_sidecar(p)
+        assert names == ["C1", "C2"] and np.array_equal(m, t.matrix())
+        assert len(starts) == 2
+        monkeypatch.undo()
+        assert (tmp_path / "t.csv.bin").read_bytes() == _sidecar_bytes(p.read_bytes(), t.matrix())
+
+    def test_concurrent_reads_of_one_file(self, tmp_path, monkeypatch):
+        routes = TestReaderRoutes._spy_routes(monkeypatch)
+        t = generate_uniform_table("t", 20_000, 2, Domain(0, 200_000), seed=3)
+        p = tmp_path / "t.csv"
+        save_csv(t, p)
+        got = []
+        start = threading.Barrier(4)
+
+        def read():
+            start.wait(timeout=30)
+            for _ in range(5):
+                got.append(read_csv(p, Domain(0, 200_000)))
+
+        readers = [threading.Thread(target=read) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for reader in readers:
+                reader.start()
+            for reader in readers:
+                reader.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(reader.is_alive() for reader in readers)
+        assert len(got) == 20 and all(table == t for table in got)
+        assert routes == {"whole": [], "sidecar": [True] * 20}
 
     @staticmethod
     def _traced(read):
