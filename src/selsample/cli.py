@@ -74,7 +74,7 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _sizing(args, u_m_b: tuple[int, int, int] | None = None, **formula) -> Sizing:
+def _sizing(args, u_m_b: tuple[int, int, int] | None = None, p: float | None = None) -> Sizing:
     """The sample size at --epsilon and --delta for the class u_m_b, or,
     without it, for --d-override or the class --u/--m/--b."""
     d = None
@@ -90,7 +90,7 @@ def _sizing(args, u_m_b: tuple[int, int, int] | None = None, **formula) -> Sizin
             raise ValueError("need --d-override or all of --u/--m/--b to derive the dimension")
         else:
             u_m_b = given
-    return size_sample(args.epsilon, args.delta, u_m_b=u_m_b, d=d, **formula)
+    return size_sample(args.epsilon, args.delta, u_m_b=u_m_b, d=d, p=p)
 
 
 def cmd_build_sample(args) -> int:
@@ -100,7 +100,7 @@ def cmd_build_sample(args) -> int:
     if args.size is not None:
         size = args.size
     elif args.auto:
-        size = _sizing(args, c=args.c).size
+        size = _sizing(args).size
     else:
         raise ValueError("pass --size or --auto")
     sdb = create_sample(size, tables, args.seed)
@@ -144,7 +144,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_sample_size(args) -> int:
-    sizing = _sizing(args, c=args.c, p=args.p, c_prime=args.c_prime, population=args.population)
+    sizing = _sizing(args, p=args.p)
     spec = sizing.spec
     record = {
         "d": spec.d,
@@ -157,8 +157,6 @@ def cmd_sample_size(args) -> int:
     if spec.p is not None:
         record["p"] = spec.p
         record["c_prime"] = spec.c_prime
-    if spec.population is not None:
-        record["population"] = spec.population
     return _print_record(record, args.json)
 
 
@@ -224,6 +222,17 @@ def cmd_experiment(args) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """A --seed value: numpy's generators take only non-negative integers."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {seed}")
+    return seed
+
+
 def _add_domain_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--domain-lo", type=int, default=None, help="domain lower bound for all columns")
     p.add_argument("--domain-hi", type=int, default=None, help="domain upper bound for all columns")
@@ -258,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="900000000,810000000,900000000",
         help="covariance matrix as var1,cov12,var2",
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--name", default=None, help="table name (default: output file stem)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_data)
@@ -270,9 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--auto", action="store_true", help="derive size from the VC bound")
     p.add_argument("--epsilon", type=float, default=0.05)
     p.add_argument("--delta", type=float, default=0.05)
-    p.add_argument("--c", type=float, default=0.5)
     _add_dimension_flags(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, help="output directory for sample CSVs + manifest")
     p.set_defaults(func=cmd_build_sample)
 
@@ -294,10 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample-size", help="sample size for an epsilon-approximation")
     p.add_argument("--epsilon", type=float, default=0.05)
     p.add_argument("--delta", type=float, default=0.05)
-    p.add_argument("--c", type=float, default=0.5)
     p.add_argument("--p", type=float, default=None, help="relative-approximation threshold")
-    p.add_argument("--c-prime", type=float, default=0.5)
-    p.add_argument("--population", type=int, default=None)
     _add_dimension_flags(p)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_sample_size)
@@ -325,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--methods", default=",".join(METHODS))
     p.add_argument("--buckets", type=int, default=100)
     p.add_argument("--mcv", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_experiment)
 

@@ -9,7 +9,11 @@ size_sample is the one place a sample is sized: from a class (u, m, b)
 through bound_general to its dimension d, or from d itself, then through
 sample_size_eps, or sample_size_rel when p is given. It returns a Sizing
 record: the size, the SampleSizeSpec the formula read, the class and its
-VcBoundReport (None when d was given).
+VcBoundReport (None when d was given). Its only inputs are epsilon, delta,
+the class or d, and p: c and c' stay at 0.5 (Li, Long & Srinivasan, JCSS
+2001). Both enter the formulas only as c/eps^2, so a constant c sizes a
+sample as epsilon * sqrt(0.5/c) does at 0.5: a tighter guarantee takes a
+smaller epsilon, not a larger constant.
 """
 
 from __future__ import annotations
@@ -78,9 +82,9 @@ class VcBoundReport:
 class SampleSizeSpec:
     """Inputs for the epsilon-approximation sample-size formulas.
 
-    `d` is the (upper bound on the) VC dimension; `population` is the optional
-    size of the sampled set, which clamps the result. `p` and `c_prime` apply
-    only to the relative (p, epsilon)-approximation variant.
+    `d` is the (upper bound on the) VC dimension. `p` and `c_prime` apply
+    only to the relative (p, epsilon)-approximation variant. size_sample
+    leaves `c` and `c_prime` at their defaults.
     """
 
     epsilon: float
@@ -89,7 +93,6 @@ class SampleSizeSpec:
     c: float = 0.5
     p: float | None = None
     c_prime: float = 0.5
-    population: int | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.epsilon < 1.0:
@@ -105,8 +108,6 @@ class SampleSizeSpec:
             raise ValueError("d must be positive")
         if self.p is not None and not 0.0 < self.p < 1.0:
             raise ValueError("p must be in (0, 1)")
-        if self.population is not None and self.population < 1:
-            raise ValueError("population must be at least 1")
 
 
 def growth_function(d: int, n: int) -> int:
@@ -167,12 +168,11 @@ def bound_join_pair(v1: int, v2: int) -> VcBoundReport:
 
 
 @_in_float_range
-def bound_multi_join(u: int, dims: Sequence[int], m: int | None = None) -> VcBoundReport:
+def bound_multi_join(u: int, dims: Sequence[int]) -> VcBoundReport:
     """Bound for u-table multi-joins over select classes of dims v_i.
 
-    Evaluates 4*u*(sum v_i)*log(u * sum v_i). The formula assumes m (the max
-    column count of any table) does not exceed sum v_i; passing m enables the
-    check. For u = 2 the pairwise bound also applies and the minimum is taken.
+    Evaluates 4*u*(sum v_i)*log(u * sum v_i). For u = 2 the pairwise bound
+    also applies and the minimum is taken.
     """
     dims = tuple(int(v) for v in dims)
     if u < 2:
@@ -182,10 +182,6 @@ def bound_multi_join(u: int, dims: Sequence[int], m: int | None = None) -> VcBou
     if any(v < 2 for v in dims):
         raise ValueError("per-table dimensions must be at least 2")
     total = sum(dims)
-    if m is not None and m > total:
-        raise ValueError(
-            f"assumption violated: m={m} exceeds the sum of per-table dimensions {total}"
-        )
     value = 4.0 * u * total * _log2(u * total)
     if u == 2:
         value = min(value, bound_join_pair(dims[0], dims[1]).bound)
@@ -216,20 +212,15 @@ def bound_general(u: int, m: int, b: int) -> VcBoundReport:
 
 @_in_float_range
 def sample_size_eps(spec: SampleSizeSpec) -> int:
-    """Sample size for an epsilon-approximation: ceil((c/eps^2)*(d + ln(1/delta))).
-
-    The result is clamped to the population size when one is given.
-    """
-    size = math.ceil((spec.c / spec.epsilon**2) * (spec.d + math.log(1.0 / spec.delta)))
-    return _clamped(size, spec)
+    """Sample size for an epsilon-approximation: ceil((c/eps^2)*(d + ln(1/delta))), at least 1."""
+    return max(1, math.ceil((spec.c / spec.epsilon**2) * (spec.d + math.log(1.0 / spec.delta))))
 
 
 @_in_float_range
 def sample_size_rel(spec: SampleSizeSpec) -> int:
     """Sample size for a relative (p, epsilon)-approximation.
 
-    Evaluates ceil((c'/(eps^2 * p)) * (d*ln(1/p) + ln(1/delta))), clamped to
-    the population size when one is given.
+    Evaluates ceil((c'/(eps^2 * p)) * (d*ln(1/p) + ln(1/delta))), at least 1.
     """
     if spec.p is None:
         raise ValueError("relative sample size requires p")
@@ -237,13 +228,7 @@ def sample_size_rel(spec: SampleSizeSpec) -> int:
         (spec.c_prime / (spec.epsilon**2 * spec.p))
         * (spec.d * math.log(1.0 / spec.p) + math.log(1.0 / spec.delta))
     )
-    return _clamped(size, spec)
-
-
-def _clamped(size: int, spec: SampleSizeSpec) -> int:
-    """A sample size of at least 1, and at most the population when one is given."""
-    size = max(1, size)
-    return size if spec.population is None else min(size, spec.population)
+    return max(1, size)
 
 
 @dataclass(frozen=True)
@@ -267,21 +252,20 @@ def size_sample(
     *,
     u_m_b: tuple[int, int, int] | None = None,
     d: float | None = None,
-    c: float = 0.5,
     p: float | None = None,
-    c_prime: float = 0.5,
-    population: int | None = None,
 ) -> Sizing:
     """The sample size for an (epsilon, delta) guarantee over the class u_m_b,
     or over a class of VC dimension d; exactly one of the two is given.
 
     The class's dimension is the ceiling of bound_general. The size is
     sample_size_eps, or sample_size_rel for the relative (p, epsilon)
-    variant when p is given.
+    variant when p is given, with c = c' = 0.5. The size is never clamped to
+    a table's row count: a with-replacement sample of that many draws is not
+    the table.
     """
     if (u_m_b is None) == (d is None):
         raise ValueError("size_sample takes exactly one of u_m_b and d")
     report = None if u_m_b is None else bound_general(*u_m_b)
-    spec = SampleSizeSpec(epsilon, delta, d if report is None else report.dimension, c, p, c_prime, population)
+    spec = SampleSizeSpec(epsilon, delta, d if report is None else report.dimension, p=p)
     size = sample_size_eps(spec) if p is None else sample_size_rel(spec)
     return Sizing(size, spec, u_m_b, report)

@@ -26,6 +26,15 @@ def assert_one_error_line(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+def assert_negative_seed_refused(capsys, argv):
+    """argv with --seed -1 exits 2 while parsing, with an error that names --seed."""
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "argument --seed: must be a non-negative integer, got -1" in capsys.readouterr().err
+
+
 @pytest.fixture()
 def uniform_csv(tmp_path):
     out = tmp_path / "t.csv"
@@ -84,6 +93,11 @@ class TestGenData:
         assert capsys.readouterr().err == "error: mu and the covariance entries must be finite\n"
         assert not out.exists()
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert_negative_seed_refused(capsys, ["gen-data", "--kind", "uniform", "--rows", "5", "--out", str(out)])
+        assert not out.exists()
+
     def test_deterministic_bytes(self, tmp_path):
         args = [
             "gen-data", "--kind", "uniform", "--rows", "100", "--cols", "2",
@@ -134,6 +148,12 @@ class TestBuildSample:
         capsys.readouterr()
         assert run(argv + ["--domain-hi", "105"]) == 2
         assert capsys.readouterr().err == "error: --domain-lo and --domain-hi must be given together\n"
+
+    def test_negative_seed_exits_2(self, tmp_path, uniform_csv, capsys):
+        out = tmp_path / "s"
+        argv = ["build-sample", "--table", str(uniform_csv), "--size", "8", "--out", str(out)]
+        assert_negative_seed_refused(capsys, argv)
+        assert not out.exists()
 
     def test_allocation_beyond_memory_exits_2(self, tmp_path, uniform_csv, capsys, monkeypatch):
         def create_sample(s, tables, seed):
@@ -256,18 +276,6 @@ class TestBoundsAndSampleSize:
         assert capsys.readouterr().err == both
         assert not (tmp_path / "s").exists()
 
-    @pytest.mark.parametrize(
-        "flags,message",
-        [
-            (["--c", "nan"], "c must be positive"),
-            (["--p", "0.5", "--c-prime", "nan"], "c_prime must be positive"),
-        ],
-        ids=["c", "c_prime"],
-    )
-    def test_nan_sizing_constant_exits_2(self, capsys, flags, message):
-        assert run(["sample-size", "--d-override", "2", *flags]) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
-
     # Bounds use base-2 logarithms only, so no command takes a base.
     @pytest.mark.parametrize(
         "argv",
@@ -285,10 +293,23 @@ class TestBoundsAndSampleSize:
         assert exc.value.code == 2
         assert "unrecognized arguments: --log-base 2" in capsys.readouterr().err
 
-    def test_sample_size_text_with_population(self, capsys):
-        assert run(["sample-size", "--d-override", "16", "--population", "500"]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert "sample_size: 500" in lines and lines[-1] == "population: 500"
+    # c and c' stay at 0.5, and no size is clamped to a population, so no
+    # command takes them.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample-size", "--d-override", "2", "--c", "0.6"],
+            ["sample-size", "--d-override", "2", "--p", "0.5", "--c-prime", "0.6"],
+            ["sample-size", "--d-override", "2", "--population", "500"],
+            ["build-sample", "--table", "t.csv", "--auto", "--d-override", "2", "--out", "s", "--c", "0.6"],
+        ],
+        ids=["sample-size-c", "sample-size-c-prime", "sample-size-population", "build-sample-c"],
+    )
+    def test_removed_sizing_flags_are_refused(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
     # Each one overflows or underflows a float inside a bound or size formula.
     @pytest.mark.parametrize(
@@ -296,7 +317,6 @@ class TestBoundsAndSampleSize:
         [
             ["sample-size", "--u", "1", "--m", "1", "--b", "1", "--epsilon", "1e-200"],
             ["sample-size", "--u", "1", "--m", "1", "--b", "1", "--epsilon", "1e-160"],
-            ["sample-size", "--d-override", "1", "--c", "1e308"],
             ["sample-size", "--d-override", "1", "--p", "1e-300", "--epsilon", "1e-10"],
             ["sample-size", "--d-override", "1" + "0" * 320],
             ["bounds", "--m", "1" + "0" * 320, "--b", "1"],
@@ -307,7 +327,6 @@ class TestBoundsAndSampleSize:
         ids=[
             "epsilon squared is 0",
             "size is infinite",
-            "c is huge",
             "p times epsilon squared is 0",
             "d beyond a float",
             "m beyond a float",
@@ -610,6 +629,12 @@ class TestExperiment:
         assert (d1 / "summary.csv").read_bytes() == (d2 / "summary.csv").read_bytes()
         assert (d1 / "per_query.csv").read_bytes() == (d2 / "per_query.csv").read_bytes()
 
+    def test_negative_seed_exits_2(self, tmp_path, uniform_csv, capsys):
+        argv = self._args(uniform_csv, tmp_path / "exp")
+        del argv[argv.index("--seed"):argv.index("--seed") + 2]
+        assert_negative_seed_refused(capsys, argv)
+        assert not (tmp_path / "exp").exists()
+
     def test_repeated_size_exits_2(self, tmp_path, uniform_csv, capsys):
         argv = self._args(uniform_csv, tmp_path / "exp")
         argv[argv.index("--sizes") + 1] = "300,300"
@@ -772,17 +797,16 @@ PINNED_CASES = {
         None,
     ),
     "sample-size-relative": (
-        ["sample-size", "--u", "1", "--m", "2", "--b", "2", "--p", "0.05", "--c-prime", "0.4",
-         "--population", "1000000"],
+        ["sample-size", "--u", "1", "--m", "2", "--b", "2", "--p", "0.05"],
         None,
-        "d: 47\nepsilon: 0.05\ndelta: 0.05\nc: 0.5\nmode: relative\nsample_size: 460145\n"
-        "p: 0.05\nc_prime: 0.4\npopulation: 1000000\n",
+        "d: 47\nepsilon: 0.05\ndelta: 0.05\nc: 0.5\nmode: relative\nsample_size: 575181\n"
+        "p: 0.05\nc_prime: 0.5\n",
         None,
     ),
     "sample-size-json": (
-        ["sample-size", "--d-override", "7", "--epsilon", "0.1", "--delta", "0.01", "--c", "0.6", "--json"],
+        ["sample-size", "--d-override", "7", "--epsilon", "0.1", "--delta", "0.01", "--json"],
         None,
-        '{"c": 0.6, "d": 7, "delta": 0.01, "epsilon": 0.1, "mode": "absolute", "sample_size": 697}\n',
+        '{"c": 0.5, "d": 7, "delta": 0.01, "epsilon": 0.1, "mode": "absolute", "sample_size": 581}\n',
         None,
     ),
     "build-sample-auto": (

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from selsample.vcbounds import (
@@ -21,6 +21,10 @@ from selsample.vcbounds import (
     sample_size_rel,
     size_sample,
 )
+
+_unit = st.floats(1e-4, 0.9999)
+# Keeps every size below 2**36, where a float's rounding error is far below 1.
+_coarse = st.floats(1e-2, 0.9999)
 
 # Pinned reference sizes for epsilon = delta = 0.05, c = 0.5: (d, size).
 REFERENCE_SIZES = [
@@ -115,10 +119,6 @@ class TestJoinBounds:
     def test_multi_join_two_tables_uses_pairwise_min(self):
         assert bound_multi_join(2, [2, 2]).bound == pytest.approx(24.0)
 
-    def test_multi_join_assumption_violation(self):
-        with pytest.raises(ValueError, match="assumption"):
-            bound_multi_join(3, [2, 2, 2], m=10)
-
     def test_multi_join_dims_length(self):
         with pytest.raises(ValueError):
             bound_multi_join(3, [2, 2])
@@ -197,9 +197,20 @@ class TestSampleSizeEps:
         spec = SampleSizeSpec(epsilon=0.05, delta=0.05, d=d, c=0.5)
         assert sample_size_eps(spec) == size
 
-    def test_population_clamp(self):
-        spec = SampleSizeSpec(epsilon=0.05, delta=0.05, d=2, c=0.5, population=500)
-        assert sample_size_eps(spec) == 500
+    def test_size_is_at_least_one(self):
+        # (c/eps^2) * (d + ln(1/delta)) underflows to 0 here.
+        spec = SampleSizeSpec(epsilon=0.5, delta=1 - 1e-12, d=5e-324, c=5e-324)
+        assert sample_size_eps(spec) == 1
+
+    # c enters only as c/eps^2, so it needs no knob of its own: a constant c
+    # sizes a sample as epsilon * sqrt(0.5/c) does at the fixed c = 0.5.
+    @given(epsilon=_coarse, delta=_unit, d=st.integers(1, 1000), c=st.floats(1e-3, 10.0))
+    @settings(max_examples=300, deadline=None)
+    def test_c_is_a_smaller_epsilon(self, epsilon, delta, d, c):
+        at_half = epsilon * math.sqrt(0.5 / c)
+        assume(at_half < 1.0)
+        size = sample_size_eps(SampleSizeSpec(epsilon, delta, d, c=c))
+        assert abs(size - sample_size_eps(SampleSizeSpec(at_half, delta, d))) <= 1
 
     def test_decreasing_in_epsilon(self):
         sizes = [
@@ -271,7 +282,6 @@ def test_value_beyond_float_range_raises_value_error(formula):
         (lambda: SampleSizeSpec(epsilon=0.05, delta=math.nan, d=1), r"delta must be in \(0, 1\)"),
         (lambda: SampleSizeSpec(epsilon=0.05, delta=0.05, d=1, p=math.nan), r"p must be in \(0, 1\)"),
         (lambda: SampleSizeSpec(epsilon=0.05, delta=0.05, d=1, p=1.0), r"p must be in \(0, 1\)"),
-        (lambda: SampleSizeSpec(epsilon=0.05, delta=0.05, d=1, population=0), "population must be at least 1"),
         (lambda: bound_boolean_combination(2, 0), "combination size h must be at least 1"),
         (lambda: bound_select_boolean(0, 1), "m must be at least 1"),
         (lambda: bound_select_boolean(1, 0), "b must be at least 1"),
@@ -292,7 +302,6 @@ def test_value_beyond_float_range_raises_value_error(formula):
         "delta NaN",
         "p NaN",
         "p 1",
-        "population 0",
         "combination h 0",
         "select_boolean m 0",
         "select_boolean b 0",
@@ -321,9 +330,19 @@ class TestSampleSizeRel:
         double = SampleSizeSpec(epsilon=0.05, delta=0.05, d=2, p=0.5, c_prime=1.0)
         assert sample_size_rel(double) == pytest.approx(2 * sample_size_rel(base), abs=1)
 
-    def test_population_clamp(self):
-        spec = SampleSizeSpec(epsilon=0.05, delta=0.05, d=2, p=0.5, c_prime=0.5, population=100)
-        assert sample_size_rel(spec) == 100
+    def test_size_is_at_least_one(self):
+        # (c'/(eps^2 * p)) * (d*ln(1/p) + ln(1/delta)) underflows to 0 here.
+        spec = SampleSizeSpec(epsilon=0.5, delta=1 - 1e-12, d=5e-324, p=0.5, c_prime=5e-324)
+        assert sample_size_rel(spec) == 1
+
+    # As c in sample_size_eps: c' sizes a sample as epsilon * sqrt(0.5/c') does at 0.5.
+    @given(epsilon=_coarse, delta=_unit, d=st.integers(1, 1000), p=_coarse, c_prime=st.floats(1e-3, 10.0))
+    @settings(max_examples=300, deadline=None)
+    def test_c_prime_is_a_smaller_epsilon(self, epsilon, delta, d, p, c_prime):
+        at_half = epsilon * math.sqrt(0.5 / c_prime)
+        assume(at_half < 1.0)
+        size = sample_size_rel(SampleSizeSpec(epsilon, delta, d, p=p, c_prime=c_prime))
+        assert abs(size - sample_size_rel(SampleSizeSpec(at_half, delta, d, p=p))) <= 1
 
     def test_requires_p(self):
         with pytest.raises(ValueError, match="p"):
@@ -356,16 +375,13 @@ def _outcome(call):
         return type(exc).__name__, str(exc)
 
 
-def _chain_by_hand(epsilon, delta, u_m_b, d, c, p, c_prime, population):
+def _chain_by_hand(epsilon, delta, u_m_b, d, p):
     """The size built step by step: the class's bound_general dimension, a
     SampleSizeSpec, then the absolute or the relative formula."""
     if u_m_b is not None:
         d = bound_general(*u_m_b).dimension
-    spec = SampleSizeSpec(epsilon=epsilon, delta=delta, d=d, c=c, p=p, c_prime=c_prime, population=population)
+    spec = SampleSizeSpec(epsilon=epsilon, delta=delta, d=d, p=p)
     return sample_size_rel(spec) if p is not None else sample_size_eps(spec)
-
-
-_unit = st.floats(1e-4, 0.9999)
 
 
 class TestSizeSample:
@@ -374,21 +390,17 @@ class TestSizeSample:
         delta=_unit,
         u_m_b=st.none() | st.tuples(st.integers(1, 4), st.integers(1, 6), st.integers(1, 6)),
         d=st.integers(1, 10**6),
-        c=st.floats(1e-3, 10.0),
         p=st.none() | _unit,
-        c_prime=st.floats(1e-3, 10.0),
-        population=st.none() | st.integers(1, 10**7),
     )
     @settings(max_examples=300, deadline=None)
-    def test_equals_the_chain_by_hand(self, epsilon, delta, u_m_b, d, c, p, c_prime, population):
+    def test_equals_the_chain_by_hand(self, epsilon, delta, u_m_b, d, p):
         # u_m_b None means the dimension d is given directly.
         d = d if u_m_b is None else None
-        formula = dict(c=c, p=p, c_prime=c_prime, population=population)
-        sizing = _outcome(lambda: size_sample(epsilon, delta, u_m_b=u_m_b, d=d, **formula))
-        by_hand = _outcome(lambda: _chain_by_hand(epsilon, delta, u_m_b, d, **formula))
+        sizing = _outcome(lambda: size_sample(epsilon, delta, u_m_b=u_m_b, d=d, p=p))
+        by_hand = _outcome(lambda: _chain_by_hand(epsilon, delta, u_m_b, d, p))
         if isinstance(sizing, Sizing):
             assert sizing.size == by_hand
-            spec = SampleSizeSpec(epsilon, delta, sizing.spec.d, c, p, c_prime, population)
+            spec = SampleSizeSpec(epsilon, delta, sizing.spec.d, p=p)
             assert sizing.spec == spec and sizing.u_m_b == u_m_b
             if u_m_b is None:
                 assert sizing.report is None and sizing.spec.d == d
