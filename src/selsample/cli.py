@@ -36,6 +36,7 @@ from .tables import (
     generate_uniform_table,
     read_csv,
     save_csv,
+    write_file,
 )
 from .vcbounds import Sizing, bound_general, size_sample
 
@@ -178,7 +179,7 @@ def cmd_estimate(args) -> int:
     records = estimate_all_nodes(sdb, plan, db=exact_tables)
     text = per_query_csv([(0, r) for r in records])
     if args.out:
-        Path(args.out).write_text(text, newline="\n")
+        write_file(args.out, text.encode())
         print(f"wrote {args.out}: {len(records)} node estimate(s)")
     else:
         sys.stdout.write(text)

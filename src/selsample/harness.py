@@ -36,7 +36,7 @@ from .queries import (
 )
 from .sampling import create_sample
 from .stats import StatsCatalog, build_stats, estimate_join
-from .tables import Table
+from .tables import Table, write_file
 
 __all__ = [
     "WorkloadSpec",
@@ -314,6 +314,6 @@ def write_experiment_csv(result: ExperimentResult, out_dir: str | Path) -> tuple
     out.mkdir(parents=True, exist_ok=True)
     summary_path = out / "summary.csv"
     per_query_path = out / "per_query.csv"
-    summary_path.write_text(summary_csv(result.summaries), newline="\n")
-    per_query_path.write_text(per_query_csv(result.per_query), newline="\n")
+    write_file(summary_path, summary_csv(result.summaries).encode())
+    write_file(per_query_path, per_query_csv(result.per_query).encode())
     return summary_path, per_query_path

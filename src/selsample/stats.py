@@ -23,7 +23,7 @@ from .queries import (
     SelectionClause,
     subplans,
 )
-from .tables import Table
+from .tables import Table, write_file
 
 __all__ = [
     "MCVList",
@@ -319,4 +319,4 @@ def dump_stats(catalog: StatsCatalog, path: str | Path) -> None:
             lines.append(f"mcv {v} {f!r}")
         for b in st.histogram.boundaries:
             lines.append(f"boundary {b}")
-    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+    write_file(path, ("\n".join(lines) + "\n").encode())

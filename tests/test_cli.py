@@ -4,6 +4,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -447,6 +450,22 @@ class TestEstimate:
         assert lines[0].startswith("query_id,node_id,node_kind")
         assert lines[1].startswith("0,0,select,")
 
+    def test_out_dev_stdout_into_a_pipe(self, tmp_path, uniform_csv, capsys):
+        # --out /dev/stdout opens the pipe that stdout is, which no write may
+        # truncate: ftruncate on a pipe raises EINVAL.
+        manifest = self._sample(tmp_path, uniform_csv, capsys)
+        argv = ["estimate", "--query", "SELECT * FROM t WHERE t.C1 >= 50", "--sample", manifest]
+        assert run(argv) == 0
+        expected = capsys.readouterr().out
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from selsample.cli import main; sys.exit(main())",
+             *argv, "--out", "/dev/stdout"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == expected + "wrote /dev/stdout: 1 node estimate(s)\n"
+
     def test_with_exact(self, tmp_path, uniform_csv):
         sample_dir = tmp_path / "sample"
         run(["build-sample", "--table", str(uniform_csv), "--size", "64", "--seed", "1",
@@ -600,6 +619,50 @@ class TestEstimate:
              "--sample", str(sample_dir / "manifest.json")]
         )
         assert code == 2
+
+
+class TestRewrites:
+    """A command writing over longer files leaves the bytes it writes into an
+    empty directory: no tail of the old file survives."""
+
+    @staticmethod
+    def _files(d):
+        return {p.relative_to(d).as_posix(): p.read_bytes() for p in sorted(d.rglob("*")) if p.is_file()}
+
+    def _same_as_fresh(self, tmp_path, earlier, argv):
+        """Run every argv of `earlier`, then `argv`, in directory a; only argv
+        in the empty directory b; each argv names its files relative to
+        "{d}". Every file of b must equal a's of the same name."""
+        a, b = tmp_path / "a", tmp_path / "b"
+        a.mkdir(), b.mkdir()
+        for args in earlier:
+            assert run([x.format(d=a) for x in args]) == 0
+        assert run([x.format(d=a) for x in argv]) == 0
+        assert run([x.format(d=b) for x in argv]) == 0
+        fresh = self._files(b)
+        assert fresh and {name: self._files(a)[name] for name in fresh} == fresh
+
+    def test_smaller_sample_over_a_larger_one(self, tmp_path, uniform_csv):
+        build = ["build-sample", "--table", str(uniform_csv), "--seed", "5", "--out", "{d}/s"]
+        self._same_as_fresh(tmp_path, [build + ["--size", "3000"]], build + ["--size", "700"])
+
+    def test_shorter_table_over_a_longer_one(self, tmp_path):
+        gen = ["gen-data", "--kind", "uniform", "--cols", "2", "--seed", "4", "--out", "{d}/t.csv"]
+        self._same_as_fresh(tmp_path, [gen + ["--rows", "5000"]], gen + ["--rows", "3000"])
+
+    def test_shorter_estimate_over_a_longer_one(self, tmp_path, uniform_csv):
+        sample = tmp_path / "sample"
+        assert run(["build-sample", "--table", str(uniform_csv), "--size", "64", "--seed", "1",
+                    "--out", str(sample)]) == 0
+        estimate = ["estimate", "--query", "SELECT * FROM t WHERE t.C1 >= 50",
+                    "--sample", str(sample / "manifest.json"), "--out", "{d}/est.csv"]
+        # With --exact-against every row carries one more value.
+        self._same_as_fresh(tmp_path, [estimate + ["--exact-against", str(uniform_csv)]], estimate)
+
+    def test_smaller_experiment_over_a_larger_one(self, tmp_path, uniform_csv):
+        experiment = ["experiment", "--table", str(uniform_csv), "--workload-m", "1", "--workload-b", "2",
+                      "--sizes", "20", "--seed", "6", "--out-dir", "{d}/exp"]
+        self._same_as_fresh(tmp_path, [experiment + ["--count", "30"]], experiment + ["--count", "5"])
 
 
 class TestExperiment:

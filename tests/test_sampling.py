@@ -140,6 +140,23 @@ class TestPersistence:
         with pytest.raises(FileNotFoundError):
             load_sample(tmp_path / "absent.json")
 
+    def test_failed_refresh_leaves_no_manifest(self, tmp_path, monkeypatch):
+        # The refresh fails after the new CSV is written but before its
+        # sidecar. The old manifest, were it kept, would pass the old seed
+        # off with the new rows, which the CSV route reads past the stale
+        # sidecar.
+        t = make_table("T", [(v, 2 * v) for v in range(50)], domain=(0, 100))
+        manifest = save_sample(create_sample(20, [t], seed=1), tmp_path)
+
+        def write_sidecar(path, csv, matrix):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(sampling, "write_sidecar", write_sidecar)
+        with pytest.raises(OSError, match="disk full"):
+            save_sample(create_sample(20, [t], seed=2), tmp_path)
+        with pytest.raises(FileNotFoundError):
+            load_sample(manifest)
+
 
 class TestSampleDatabase:
     def test_duplicate_base_rejected(self):

@@ -980,6 +980,57 @@ class TestSidecar:
             read_csv(p)
         assert str(exc.value) == f"no such CSV file: {p}"
 
+    @pytest.mark.parametrize("layout", ["C", "big-endian", "strided"])
+    def test_any_matrix_layout_gives_the_format(self, tmp_path, layout):
+        # write_sidecar hashes and writes an F-order little-endian matrix in
+        # place; any other matrix is converted first, to the same bytes.
+        m = {
+            "C": np.ascontiguousarray(_T),
+            "big-endian": _T.astype(">i8"),
+            "strided": np.repeat(_T, 2, axis=0)[::2],
+        }[layout]
+        p = tmp_path / "t.csv"
+        p.write_bytes(b"C1,C2\n")
+        tables.write_sidecar(p, p.read_bytes(), m)
+        assert (tmp_path / "t.csv.bin").read_bytes() == _sidecar_bytes(p.read_bytes(), _T)
+
+
+class TestWriteFile:
+    """write_file writes over the old bytes and cuts off only a leftover tail."""
+
+    def test_parts_in_order_over_a_longer_file(self, tmp_path):
+        p = tmp_path / "f"
+        p.write_bytes(b"x" * 1000)
+        parts = [b"ab", b"", np.zeros((0, 2), np.int64), bytearray(b"cd"), np.array([[1, 2]], "<i8").T]
+        tables.write_file(p, *parts)
+        assert p.read_bytes() == b"abcd" + np.array([1, 2], "<i8").tobytes()
+
+    def test_short_writes_are_continued(self, tmp_path, monkeypatch):
+        write = os.write
+        monkeypatch.setattr(os, "write", lambda fd, data: write(fd, bytes(data[:3])))
+        p = tmp_path / "f"
+        tables.write_file(p, b"abcdefgh", b"ij")
+        assert p.read_bytes() == b"abcdefghij"
+
+    @pytest.mark.skipif(not hasattr(os, "umask"), reason="no umask")
+    def test_new_file_mode_as_open_wb_gives(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            (tmp_path / "a").write_bytes(b"1")
+            tables.write_file(tmp_path / "b", b"1")
+        finally:
+            os.umask(old)
+        assert (tmp_path / "b").stat().st_mode == (tmp_path / "a").stat().st_mode
+
+    def test_errors_keep_the_text_of_open(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for path in ("x/y.csv", Path("x/y.csv"), tmp_path):
+            with pytest.raises(OSError) as ours:
+                tables.write_file(path, b"1")
+            with pytest.raises(OSError) as theirs:
+                Path(path).write_bytes(b"1")
+            assert str(ours.value) == str(theirs.value)
+
 
 class TestImmutable:
     def test_matrix_and_columns_are_read_only(self):
