@@ -6,76 +6,35 @@ bound and sample-size calculators (`vcbounds`), index-aligned sample
 construction (`sampling`), exact and sample-based selectivity estimators
 (`execution`), an MCV + equi-depth histogram baseline (`stats`), and a
 workload/experiment harness with a CLI (`harness`, `cli`).
+
+`import selsample as ss` loads each module on first use (PEP 562): `ss.X`
+imports the first module of `_MODULES` whose `__all__` names X, and
+`ss.<module>` imports that module. The modules' `__all__` lists are the
+public API, and `ss.__all__` is their union. So `import selsample.vcbounds`
+loads neither numpy nor any other module of the package.
 """
 
-from .execution import (
-    EstimateRecord,
-    ResultSet,
-    estimate_all_nodes,
-    estimate_indexed,
-    exact_cardinality,
-    exact_selectivity,
-    execute_plan,
-)
-from .harness import (
-    ErrorSummary,
-    WorkloadSpec,
-    generate_workload,
-    percent_error,
-    run_experiment,
-)
-from .queries import (
-    And,
-    BoolExpr,
-    ClassParams,
-    ColumnRef,
-    ComparisonOp,
-    JoinCondition,
-    JoinNode,
-    Or,
-    ParseError,
-    QueryPlan,
-    SelectLeaf,
-    SelectionClause,
-    class_params,
-    leaf_tables,
-    parse_query,
-    subplans,
-)
-from .sampling import SampleDatabase, SampleTable, create_sample, load_sample, save_sample
-from .stats import (
-    ColumnStats,
-    EquiDepthHistogram,
-    MCVList,
-    StatsCatalog,
-    build_stats,
-    estimate_clause,
-    estimate_join,
-    estimate_predicate,
-)
-from .tables import (
-    ColumnMeta,
-    Domain,
-    Table,
-    generate_correlated_table,
-    generate_uniform_table,
-    read_csv,
-    save_csv,
-)
-from .vcbounds import (
-    SampleSizeSpec,
-    Sizing,
-    VcBoundReport,
-    bound_boolean_combination,
-    bound_general,
-    bound_join_pair,
-    bound_multi_join,
-    bound_select_boolean,
-    bound_select_single,
-    growth_function,
-    sample_size_eps,
-    sample_size_rel,
-    size_sample,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+_MODULES = ("vcbounds", "tables", "queries", "sampling", "execution", "stats", "harness")
+
+
+def __getattr__(name: str):
+    if name in _MODULES or name == "cli":
+        return import_module(f".{name}", __name__)
+    if name == "__all__":
+        return [n for m in _MODULES for n in import_module(f".{m}", __name__).__all__]
+    # Dunder probes (copy, inspect, pytest) must not import every module.
+    if not (name.startswith("__") and name.endswith("__")):
+        for m in _MODULES:
+            module = import_module(f".{m}", __name__)
+            if name in module.__all__:
+                value = globals()[name] = getattr(module, name)
+                return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__getattr__("__all__")})

@@ -99,6 +99,10 @@ def cmd_build_sample(args) -> int:
     if args.size is not None and args.auto:
         raise ValueError("pass --size or --auto, not both")
     if args.size is not None:
+        flags = {"--u": args.u, "--m": args.m, "--b": args.b, "--d-override": args.d_override}
+        given = [flag for flag, value in flags.items() if value is not None]
+        if given:
+            raise ValueError(f"pass --size or --auto with {', '.join(given)}, not both")
         size = args.size
     elif args.auto:
         size = _sizing(args).size
@@ -197,7 +201,7 @@ def cmd_experiment(args) -> int:
         # No sizing formula reads --delta here, so check it as the automatic size does.
         if not 0.0 < args.delta < 1.0:
             raise ValueError("delta must be in (0, 1)")
-        sizes = [int(part) for part in args.sizes.split(",") if part]
+        sizes = [_size(part) for part in args.sizes.split(",") if part]
     else:
         params = class_params(*workload)
         sizes = [_sizing(args, (params.u, params.m, params.b)).size]
@@ -221,6 +225,14 @@ def cmd_experiment(args) -> int:
             f"excluded={s.excluded_zero_exact}"
         )
     return 0
+
+
+def _size(part: str) -> int:
+    """One entry of experiment's --sizes."""
+    try:
+        return int(part)
+    except ValueError:
+        raise ValueError(f"--sizes: invalid int value: {part!r}") from None
 
 
 def _seed(text: str) -> int:

@@ -98,9 +98,11 @@ def save_sample(sampledb: SampleDatabase, out_dir: str | Path) -> Path:
     that fails part way leaves no manifest, and load_sample raises
     FileNotFoundError, never a manifest that describes other rows: the stale
     sidecar of a half-written table would send load_sample to the new CSV
-    under the old seed. A `build-sample --auto` refresh of a 35,800-row
-    sample from a 1e5 x 2 table, in one process (2-core VM, ext4, Python
-    3.11, numpy 2.4), takes 9.9-13.9 ms and 727 minor page faults; the
+    under the old seed. Before the new manifest, the refresh removes the CSV
+    and sidecar of each table the old manifest held and the new one does
+    not; an old manifest that cannot be read removes nothing. A
+    `build-sample --auto` refresh of a 35,800-row sample from a 1e5 x 2
+    table, in one process (2-core VM, ext4, Python 3.11, numpy 2.4), takes 9.9-13.9 ms and 727 minor page faults; the
     forms to avoid, every file truncated before it is written, the header
     joined on to the CSV's bytes and the sidecar's payload copied twice,
     took 14.0-17.6 ms and 832 faults.
@@ -108,6 +110,10 @@ def save_sample(sampledb: SampleDatabase, out_dir: str | Path) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest_path = out / "manifest.json"
+    try:
+        old_files = {e["file"] for e in _read_manifest(manifest_path)[2]}
+    except (OSError, ValueError):
+        old_files = set()
     manifest_path.unlink(missing_ok=True)
     entries = []
     for st in sampledb.tables:
@@ -116,6 +122,12 @@ def save_sample(sampledb: SampleDatabase, out_dir: str | Path) -> Path:
         csv = write_int_csv(out / fname, ("sampleindex", *st.column_names), tagged)
         write_sidecar(out / fname, csv, st.matrix())
         entries.append({"base": st.name, "file": fname, "columns": list(st.column_names)})
+    # Remove the tables the old manifest held and this one does not, but only
+    # files save_sample could have written: a bare name, never a path.
+    for fname in old_files - {e["file"] for e in entries}:
+        if Path(fname).name == fname and fname.endswith(".sample.csv"):
+            (out / fname).unlink(missing_ok=True)
+            (out / f"{fname}.bin").unlink(missing_ok=True)
     manifest = {"size": sampledb.size, "seed": sampledb.seed, "tables": entries}
     write_file(manifest_path, (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
     return manifest_path
@@ -126,7 +138,7 @@ def _read_manifest(mp: Path) -> tuple[int, int, list[dict]]:
     types load_sample reads."""
     try:
         manifest = json.loads(mp.read_text())
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"{mp}: not valid JSON: {exc}") from None
     if not isinstance(manifest, dict):
         raise ValueError(f"{mp}: the top level is not a JSON object")

@@ -145,6 +145,17 @@ class TestBuildSample:
         assert capsys.readouterr().err == "error: pass --size or --auto, not both\n"
         assert not (tmp_path / "s").exists()
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--d-override", "3"], "--d-override"),
+        (["--u", "1"], "--u"),
+        (["--b", "5", "--m", "2", "--u", "1"], "--u, --m, --b"),
+    ])
+    def test_size_with_sizing_flags_exits_2(self, tmp_path, uniform_csv, capsys, flags, named):
+        argv = ["build-sample", "--table", str(uniform_csv), "--size", "5", *flags, "--out", str(tmp_path / "s")]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == f"error: pass --size or --auto with {named}, not both\n"
+        assert not (tmp_path / "s").exists()
+
     def test_domain_flags(self, tmp_path, uniform_csv, capsys):
         argv = ["build-sample", "--table", str(uniform_csv), "--size", "16", "--out", str(tmp_path / "s")]
         assert run(argv + ["--domain-lo", "-5", "--domain-hi", "105"]) == 0
@@ -705,6 +716,22 @@ class TestExperiment:
         assert run(argv) == 2
         assert capsys.readouterr().err == "error: sample size 300 is given more than once\n"
         assert not (tmp_path / "exp").exists()
+
+    @pytest.mark.parametrize("sizes", ["abc", "20,,x4", "20.5"])
+    def test_non_integer_size_names_the_flag(self, tmp_path, uniform_csv, capsys, sizes):
+        argv = self._args(uniform_csv, tmp_path / "exp")
+        argv[argv.index("--sizes") + 1] = sizes
+        capsys.readouterr()
+        assert run(argv) == 2
+        bad = sizes.split(",")[-1]
+        assert capsys.readouterr().err == f"error: --sizes: invalid int value: {bad!r}\n"
+        assert not (tmp_path / "exp").exists()
+
+    def test_empty_size_entries_are_skipped(self, tmp_path, uniform_csv):
+        argv = self._args(uniform_csv, tmp_path / "exp")
+        argv[argv.index("--sizes") + 1] = "20,,40,"
+        assert run(argv) == 0
+        assert (tmp_path / "exp" / "summary.csv").read_text().count("indexed,") == 2
 
     # With --sizes given, no sizing formula reads epsilon, so the
     # experiment checks it itself.

@@ -157,6 +157,46 @@ class TestPersistence:
         with pytest.raises(FileNotFoundError):
             load_sample(manifest)
 
+    def test_refresh_removes_the_files_of_dropped_tables(self, tmp_path):
+        t = make_table("t", [(0, 1), (2, 3)])
+        u = make_table("u", [(4, 5)], domain=(0, 10))
+        save_sample(create_sample(50, [t, u], seed=1), tmp_path)
+        save_sample(create_sample(50, [u], seed=1), tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "manifest.json", "u.sample.csv", "u.sample.csv.bin",
+        ]
+        assert [st.name for st in load_sample(tmp_path / "manifest.json").tables] == ["u"]
+
+    def test_refresh_with_the_same_tables_removes_nothing(self, tmp_path):
+        t = make_table("t", [(0, 1), (2, 3)])
+        u = make_table("u", [(4, 5)], domain=(0, 10))
+        save_sample(create_sample(50, [t, u], seed=1), tmp_path)
+        before = sorted(p.name for p in tmp_path.iterdir())
+        save_sample(create_sample(30, [u, t], seed=2), tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        assert load_sample(tmp_path / "manifest.json").size == 30
+
+    def test_refresh_removes_only_bare_sample_file_names(self, tmp_path):
+        # A forged manifest must not steer the refresh to a file outside the
+        # directory, nor to one that is not a sample CSV.
+        out = tmp_path / "s"
+        out.mkdir()
+        victims = [tmp_path / "victim.sample.csv", out / "victim.csv"]
+        for victim in victims:
+            victim.write_text("keep me\n")
+        entries = [{"base": "v", "file": f, "columns": ["C1"]} for f in ("../victim.sample.csv", "victim.csv")]
+        (out / "manifest.json").write_text(json.dumps({"size": 1, "seed": 0, "tables": entries}))
+        save_sample(create_sample(5, [make_table("t", [(0, 1)])], seed=1), out)
+        for victim in victims:
+            assert victim.read_text() == "keep me\n"
+
+    def test_unreadable_old_manifest_removes_nothing(self, tmp_path):
+        (tmp_path / "manifest.json").write_text("[" * 100_000)
+        (tmp_path / "old.sample.csv").write_text("sampleindex,C1\n1,0\n")
+        save_sample(create_sample(5, [make_table("t", [(0, 1)])], seed=1), tmp_path)
+        assert (tmp_path / "old.sample.csv").exists()
+        assert load_sample(tmp_path / "manifest.json").size == 5
+
 
 class TestSampleDatabase:
     def test_duplicate_base_rejected(self):
@@ -214,6 +254,9 @@ class TestManifestErrors:
 
     def test_invalid_json(self, tmp_path):
         assert "not valid JSON" in self._load(tmp_path, '{"size": 3,\n')
+
+    def test_json_nested_beyond_the_parser_is_invalid(self, tmp_path):
+        assert "not valid JSON" in self._load(tmp_path, "[" * 100_000)
 
     def test_top_level_not_an_object(self, tmp_path):
         assert "not a JSON object" in self._load(tmp_path, "[3, 0]")
