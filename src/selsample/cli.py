@@ -95,7 +95,7 @@ def _sizing(args, u_m_b: tuple[int, int, int] | None = None, p: float | None = N
 
 
 def cmd_build_sample(args) -> int:
-    tables = _load_tables(args.table, _parse_domain(args))
+    domain = _parse_domain(args)
     if args.size is not None and args.auto:
         raise ValueError("pass --size or --auto, not both")
     if args.size is not None:
@@ -108,7 +108,7 @@ def cmd_build_sample(args) -> int:
         size = _sizing(args).size
     else:
         raise ValueError("pass --size or --auto")
-    sdb = create_sample(size, tables, args.seed)
+    sdb = create_sample(size, _load_tables(args.table, domain), args.seed)
     manifest = save_sample(sdb, args.out)
     print(f"wrote {manifest}: {len(sdb.tables)} sample table(s) of size {size}")
     return 0
@@ -191,18 +191,19 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    tables = _load_tables(args.table, _parse_domain(args))
+    domain = _parse_domain(args)
     spec = WorkloadSpec(
         m=args.workload_m, b=args.workload_b, count=args.count, kind=args.kind, seed=args.seed
     )
-    workload = generate_workload(spec, tables)
     methods = [m for m in args.methods.split(",") if m]
     if args.sizes:
         # No sizing formula reads --delta here, so check it as the automatic size does.
         if not 0.0 < args.delta < 1.0:
             raise ValueError("delta must be in (0, 1)")
         sizes = [_size(part) for part in args.sizes.split(",") if part]
-    else:
+    tables = _load_tables(args.table, domain)
+    workload = generate_workload(spec, tables)
+    if not args.sizes:  # the automatic size needs the workload's class
         params = class_params(*workload)
         sizes = [_sizing(args, (params.u, params.m, params.b)).size]
     result = run_experiment(

@@ -14,10 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .tables import (
-    ColumnMeta, Domain, Table, _Owned, by_name, read_int_csv, read_sidecar, write_file, write_int_csv,
-    write_sidecar,
-)
+from .tables import ColumnMeta, Domain, Table, by_name, read_table_file, save_csv, write_file
 
 __all__ = [
     "SampleTable",
@@ -84,13 +81,9 @@ def create_sample(s: int, tables: Sequence[Table], seed: int) -> SampleDatabase:
 
 
 def save_sample(sampledb: SampleDatabase, out_dir: str | Path) -> Path:
-    """Persist a sample database as one CSV per table plus a manifest.json.
-
-    Sample CSVs carry sampleindex as the leading column. Beside each CSV goes
-    its binary sidecar (see tables.read_sidecar), the CSV's name plus ".bin",
-    which holds the s x k sample matrix without the sampleindex column.
-    load_sample reads a table from its sidecar when the two still match, and
-    from the CSV otherwise. Returns the manifest path.
+    """Persist a sample database as one CSV per table, which tables.save_csv
+    writes with sampleindex as the leading column, plus a manifest.json.
+    Returns the manifest path.
 
     A refresh into an existing directory rewrites each file over its old
     bytes (see tables.write_file). The old manifest.json is removed before
@@ -118,9 +111,7 @@ def save_sample(sampledb: SampleDatabase, out_dir: str | Path) -> Path:
     entries = []
     for st in sampledb.tables:
         fname = f"{st.name}.sample.csv"
-        tagged = np.column_stack((np.arange(1, st.row_count + 1, dtype=np.int64), st.matrix()))
-        csv = write_int_csv(out / fname, ("sampleindex", *st.column_names), tagged)
-        write_sidecar(out / fname, csv, st.matrix())
+        save_csv(st, out / fname, index="sampleindex")
         entries.append({"base": st.name, "file": fname, "columns": list(st.column_names)})
     # Remove the tables the old manifest held and this one does not, but only
     # files save_sample could have written: a bare name, never a path.
@@ -178,19 +169,10 @@ def _read_manifest(mp: Path) -> tuple[int, int, list[dict]]:
 def load_sample(manifest_path: str | Path, domain: Domain | None = None) -> SampleDatabase:
     """Load a sample database previously written by save_sample.
 
-    Each table comes from its sidecar (see save_sample) when
-    tables.read_sidecar takes it, with the CSV's header sampleindex and the
-    manifest's columns, and the sidecar's matrix is size x k, for the
-    manifest's size and its k columns. The sidecar's digest then shows that
-    save_sample wrote this CSV and this matrix together, so the CSV's
-    sampleindex runs 1..size in order and its rows are the matrix's, without
-    parsing it.
-
-    Any other table is read from its CSV: a missing, short, stale or edited
-    sidecar, or a sample written by hand. Its sampleindex values must be
-    exactly 1..size, in any order; the rows are stored in sampleindex order.
-    Both routes give the same tables and the same errors. Column domains are
-    `domain` when given, and the [min, max] of the sampled values otherwise.
+    Each table is read by tables.read_table_file, with the manifest's size
+    and, as the header, sampleindex followed by the manifest's columns.
+    Column domains are `domain` when given, and the [min, max] of the
+    sampled values otherwise.
     An error in building a table, such as a sampled value outside `domain`,
     names the manifest and the table's file.
     """
@@ -201,13 +183,9 @@ def load_sample(manifest_path: str | Path, domain: Domain | None = None) -> Samp
     tables = []
     for entry in entries:
         path = mp.parent / entry["file"]
-        read = read_sidecar(path, ["sampleindex", *entry["columns"]])
-        if read is not None and read[1].shape == (size, len(entry["columns"])):
-            rows = _Owned(read[1])
-        else:
-            rows = _read_sample_csv(path, entry["columns"], size)
+        names, rows = read_table_file(path, ["sampleindex", *entry["columns"]], size)
         try:
-            tables.append(SampleTable(entry["base"], [ColumnMeta(c, domain) for c in entry["columns"]], rows))
+            tables.append(SampleTable(entry["base"], [ColumnMeta(c, domain) for c in names], rows))
         except ValueError as exc:
             raise ValueError(f"{mp}: {entry['file']}: {exc}") from None
     try:
@@ -215,18 +193,3 @@ def load_sample(manifest_path: str | Path, domain: Domain | None = None) -> Samp
     except ValueError as exc:
         raise ValueError(f"{mp}: {exc}") from None
 
-
-def _read_sample_csv(path: Path, columns: list[str], size: int) -> np.ndarray:
-    """The (size, len(columns)) sample matrix parsed from CSV file path, in
-    sampleindex order."""
-    _, m = read_int_csv(path, ["sampleindex", *columns])
-    # Lengths first: the manifest's size may be far beyond what fits in memory.
-    if m.shape[0] != size:
-        raise ValueError(f"{path}: sampleindex values must be exactly 1..{size} with no repeats")
-    indexes = np.arange(1, size + 1)
-    # save_sample writes the rows in sampleindex order; other files are sorted.
-    if not np.array_equal(m[:, 0], indexes):
-        m = m[np.argsort(m[:, 0])]
-        if not np.array_equal(m[:, 0], indexes):
-            raise ValueError(f"{path}: sampleindex values must be exactly 1..{size} with no repeats")
-    return m[:, 1:]

@@ -31,6 +31,7 @@ __all__ = [
     "write_int_csv",
     "write_sidecar",
     "read_sidecar",
+    "read_table_file",
     "read_csv",
     "save_csv",
     "generate_uniform_table",
@@ -85,7 +86,7 @@ class ColumnMeta:
 class _Owned:
     """A new read-only, column-major (n, k) int64 matrix that nothing else
     holds, which a Table keeps as it is instead of copying: the matrix that
-    read_sidecar read, as read_csv and load_sample pass it."""
+    read_sidecar read, as read_table_file returns it."""
 
     matrix: np.ndarray
 
@@ -243,8 +244,8 @@ def read_int_csv(path: str | Path, columns: Sequence[str] | None = None) -> tupl
     Tried and slower or wrong (1e5 rows of 2 cells, 2-core VM, numpy 2.4): a
     parser in numpy byte arithmetic took 23-27 ms against 8.4 ms for
     np.loadtxt; np.fromstring(sep=",") takes 5.8 ms, but reads "-" as 0 and
-    -9300000000000000000 as INT64_MAX. Files that save_csv or save_sample
-    wrote are read from their binary sidecar instead (see read_sidecar).
+    -9300000000000000000 as INT64_MAX. Files that save_csv wrote are read
+    from their binary sidecar instead (see read_table_file).
     Its digest is a two-leaf SHA-256 tree, whose leaves, the CSV and the
     payload, two threads hash at once: read_csv of 2.9 MB of files takes
     2.2-2.3 ms. The form to avoid is one serial SHA-256 stream, which one
@@ -510,8 +511,8 @@ def _root(head: bytes, csv_leaf: bytes, payload_leaf: bytes) -> bytes:
 
 def write_sidecar(path: str | Path, csv: bytes, matrix: np.ndarray) -> None:
     """Write the binary sidecar of CSV file `path`, whose bytes are `csv`,
-    holding `matrix`: the CSV's rows, or their columns after a leading key
-    column (see read_sidecar). The CSV's leaf is hashed on a worker thread
+    holding `matrix`: the CSV's rows, or their columns after a leading index
+    column (see save_csv). The CSV's leaf is hashed on a worker thread
     while this one hashes the payload.
 
     The payload is the matrix's own column-major bytes, hashed and written
@@ -557,14 +558,14 @@ def read_sidecar(path: str | Path, columns: Sequence[str] | None = None) -> tupl
     - its root digest matches the tag, the shape, the CSV's bytes and the
       payload.
     A matching digest shows that write_sidecar wrote this CSV and this matrix
-    together. The caller checks that (n, k) fits the header exactly: a
-    sample's matrix leaves out the CSV's leading sampleindex column. An
+    together. The one caller, read_table_file, checks that (n, k) fits the
+    header exactly: a sample's matrix leaves out its leading sampleindex. An
     OSError, or a sidecar that shrinks or grows while it is read, gives None
     too. So does a sidecar in an earlier format, whose CSV is then parsed.
 
     The returned matrix is new and read-only, and it is the read's one
-    allocation of the files' size, so read_csv and load_sample hand it to
-    their Table to keep (see _Owned). The CSV's header line is read with
+    allocation of the files' size, so read_table_file hands it to a Table to
+    keep (see _Owned). The CSV's header line is read with
     readline, which reads the buffered file's pieces until the line is
     complete, and checked. Then the two leaves are hashed at once (see
     _with_leaf): a worker thread hashes the header line and the rest of the
@@ -619,35 +620,69 @@ def read_sidecar(path: str | Path, columns: Sequence[str] | None = None) -> tupl
     return names, m.reshape((n, k), order="F")
 
 
-def read_csv(path: str | Path, domain: Domain | None = None) -> Table:
-    """Load a CSV file as a table named after the file.
+def read_table_file(
+    path: str | Path, columns: Sequence[str] | None = None, size: int | None = None
+) -> tuple[list[str], np.ndarray | _Owned]:
+    """The column names and rows of a table's CSV file: the one reader of
+    base and sample tables, whose rows a Table keeps as they are (see
+    _Owned) or copies. The header must equal `columns` when given.
 
-    Column names come from the header; domains are either the one supplied
-    (applied to every column) or each column's [min, max]. A file that
-    save_csv wrote is read from its sidecar when the two still match (see
-    read_sidecar), and any other file is parsed by read_int_csv: a missing,
-    stale or edited sidecar, a sample's, or a CSV written by hand. Both routes
-    give the same table and the same errors.
+    Given `size`, the file is a sample's: its leading column, the
+    sampleindex that save_csv's `index` writes, is left out of the names
+    and rows. The sidecar (see read_sidecar) is taken when its shape is
+    exact: n by the header's column count for a base table, and `size` by
+    one fewer for a sample, whose digest then shows that its sampleindex
+    runs 1..size in order. Any other file is parsed by read_int_csv: a
+    missing, short, stale or edited sidecar, or a file written by hand. A
+    sample's sampleindex values must then be exactly 1..size, in any order,
+    and its rows come in sampleindex order. Both routes give the same
+    names, rows and errors.
     """
     p = Path(path)
-    read = read_sidecar(p)
-    if read is not None and read[1].shape[1] == len(read[0]):
-        names, m = read[0], _Owned(read[1])
-    else:
-        names, m = read_int_csv(p)
+    lead = 0 if size is None else 1
+    read = read_sidecar(p, columns)
+    if read is not None:
+        names, m = read
+        if m.shape[1] == len(names) - lead and (size is None or m.shape[0] == size):
+            return names[lead:], _Owned(m)
+    names, m = read_int_csv(p, columns)
+    if size is not None:
+        # Lengths first: the manifest's size may be far beyond what fits in memory.
+        indexes = np.arange(1, size + 1) if m.shape[0] == size else None
+        # save_csv writes the rows in sampleindex order; other files are sorted.
+        if indexes is not None and not np.array_equal(m[:, 0], indexes):
+            m = m[np.argsort(m[:, 0])]
+        if indexes is None or not np.array_equal(m[:, 0], indexes):
+            raise ValueError(f"{p}: {names[0]} values must be exactly 1..{size} with no repeats")
+    return names[lead:], m[:, lead:]
+
+
+def read_csv(path: str | Path, domain: Domain | None = None) -> Table:
+    """Load a CSV file, read by read_table_file, as a table named after the file.
+
+    Column names come from the header; domains are either the one supplied
+    (applied to every column) or each column's [min, max].
+    """
+    p = Path(path)
+    names, rows = read_table_file(p)
     try:
-        return Table(p.stem, [ColumnMeta(n, domain) for n in names], m)
+        return Table(p.stem, [ColumnMeta(n, domain) for n in names], rows)
     except ValueError as exc:  # an invalid name, an out-of-domain value, no rows to span
         raise CsvFormatError(f"{p}: {exc}") from None
 
 
-def save_csv(table: Table, path: str | Path) -> None:
+def save_csv(table: Table, path: str | Path, index: str | None = None) -> None:
     """Write a table in the read_csv format: header line, integer cells, LF
     newlines; and beside it its binary sidecar, the file's name plus ".bin",
-    which read_csv takes in place of parsing the CSV. Deleting the sidecar
-    changes nothing but the read time."""
+    which read_table_file takes in place of parsing the CSV. Deleting the
+    sidecar changes nothing but the read time. Given `index`, a sample's
+    sampleindex, the CSV leads with a column of that name holding 1..n,
+    which the sidecar leaves out."""
     m = table.matrix()
-    write_sidecar(path, write_int_csv(path, table.column_names, m), m)
+    names, data = table.column_names, m
+    if index is not None:
+        names, data = (index, *names), np.column_stack((np.arange(1, len(m) + 1, dtype=np.int64), m))
+    write_sidecar(path, write_int_csv(path, names, data), m)
 
 
 def generate_uniform_table(

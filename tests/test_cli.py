@@ -8,10 +8,11 @@ import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
-from selsample import cli
+from selsample import cli, tables
 from selsample.cli import main
 from selsample.sampling import load_sample
 from selsample.tables import read_csv
@@ -99,6 +100,14 @@ class TestGenData:
     def test_negative_seed_exits_2(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         assert_negative_seed_refused(capsys, ["gen-data", "--kind", "uniform", "--rows", "5", "--out", str(out)])
+        assert not out.exists()
+
+    def test_non_integer_seed_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(["gen-data", "--kind", "uniform", "--rows", "5", "--seed", "abc", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "argument --seed: invalid int value: 'abc'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_deterministic_bytes(self, tmp_path):
@@ -398,6 +407,27 @@ class TestEstimate:
         capsys.readouterr()
         return str(tmp_path / "sample" / "manifest.json")
 
+    def test_manifest_columns_unlike_the_header_skip_the_sidecar(self, tmp_path, uniform_csv, capsys, monkeypatch):
+        manifest = self._sample(tmp_path, uniform_csv, capsys)
+        data = json.loads(Path(manifest).read_text())
+        data["tables"][0]["columns"] = ["C2", "C1"]
+        Path(manifest).write_text(json.dumps(data))
+        sidecar = []
+        read_sidecar = tables.read_sidecar
+
+        def spied(*args):
+            sidecar.append(read_sidecar(*args))
+            return sidecar[-1]
+
+        monkeypatch.setattr(tables, "read_sidecar", spied)
+        argv = ["estimate", "--query", "SELECT * FROM t WHERE t.C1 = 5", "--sample", manifest]
+        assert run(argv) == 2
+        assert sidecar == [None]
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'sample' / 't.sample.csv'}: header mismatch: "
+            "expected 'sampleindex,C2,C1', got 'sampleindex,C1,C2'\n"
+        )
+
     def test_unpaired_domain_flag_exits_2(self, tmp_path, uniform_csv, capsys):
         manifest = self._sample(tmp_path, uniform_csv, capsys)
         argv = ["estimate", "--query", "SELECT * FROM t WHERE t.C1 = 5", "--sample", manifest, "--domain-lo", "0"]
@@ -674,6 +704,35 @@ class TestRewrites:
         experiment = ["experiment", "--table", str(uniform_csv), "--workload-m", "1", "--workload-b", "2",
                       "--sizes", "20", "--seed", "6", "--out-dir", "{d}/exp"]
         self._same_as_fresh(tmp_path, [experiment + ["--count", "30"]], experiment + ["--count", "5"])
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["build-sample", "--size", "5", "--u", "1", "--out", "s"], "pass --size or --auto with --u, not both"),
+        (["build-sample", "--size", "5", "--auto", "--out", "s"], "pass --size or --auto, not both"),
+        (["experiment", "--workload-m", "1", "--workload-b", "2", "--sizes", "abc", "--out-dir", "e"],
+         "--sizes: invalid int value: 'abc'"),
+        (["experiment", "--workload-m", "1", "--workload-b", "101", "--sizes", "10", "--out-dir", "e"],
+         "b must be at most 100"),
+        (["experiment", "--workload-m", "1", "--workload-b", "2", "--sizes", "10", "--delta", "2", "--out-dir", "e"],
+         "delta must be in (0, 1)"),
+    ],
+    ids=["size with --u", "size with --auto", "sizes abc", "workload-b 101", "delta 2"],
+)
+def test_flags_are_checked_before_any_table_is_read(tmp_path, capsys, monkeypatch, argv, message):
+    reads = []
+    read_csv = cli.read_csv
+
+    def spied(path, domain=None):
+        reads.append(path)
+        return read_csv(path, domain)
+
+    monkeypatch.setattr(cli, "read_csv", spied)
+    monkeypatch.chdir(tmp_path)
+    assert run([argv[0], "--table", "missing.csv", *argv[1:]]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert reads == [] and not any(tmp_path.iterdir())
 
 
 class TestExperiment:

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_table, sample_table
-from selsample import sampling
+from selsample import tables
 from selsample.execution import estimate_all_nodes
 from selsample.queries import parse_query
 from selsample.sampling import SampleDatabase, SampleTable, create_sample, load_sample, save_sample
@@ -151,7 +151,7 @@ class TestPersistence:
         def write_sidecar(path, csv, matrix):
             raise OSError("disk full")
 
-        monkeypatch.setattr(sampling, "write_sidecar", write_sidecar)
+        monkeypatch.setattr(tables, "write_sidecar", write_sidecar)
         with pytest.raises(OSError, match="disk full"):
             save_sample(create_sample(20, [t], seed=2), tmp_path)
         with pytest.raises(FileNotFoundError):
@@ -402,7 +402,7 @@ class TestSampleReader:
         def no_csv_route(*args):
             raise AssertionError("load_sample parsed the CSV")
 
-        monkeypatch.setattr(sampling, "read_int_csv", no_csv_route)
+        monkeypatch.setattr(tables, "read_int_csv", no_csv_route)
         loaded = load_sample(tmp_path / "manifest.json")
         assert (loaded.size, loaded.seed, loaded.tables) == _as_loaded(sdb)
 

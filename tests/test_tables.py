@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import sample_table
-from selsample import sampling, tables
+from selsample import tables
 from selsample.sampling import create_sample, load_sample, save_sample
 from selsample.tables import (
     ColumnMeta,
@@ -91,6 +91,11 @@ class TestTable:
     def test_duplicate_columns_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             Table("T", [ColumnMeta("C1", Domain(0, 1)), ColumnMeta("C1", Domain(0, 1))], [])
+
+    def test_not_equal_to_a_non_table(self):
+        t = Table("T", SCHEMA_0_10, [(1, 2)])
+        assert t.__eq__(1) is NotImplemented
+        assert (t == 1) is False and (t != 1) is True
 
     def test_column_lookup(self):
         t = Table("T", SCHEMA_0_10, [(1, 2)])
@@ -279,8 +284,14 @@ class TestCorrelatedGenerator:
     def test_non_positive_definite_rejected(self):
         with pytest.raises(ValueError, match="positive-definite"):
             generate_correlated_table("T", 10, 0.0, [[1.0, 2.0], [2.0, 1.0]], Domain(0, 10), seed=0)
-        with pytest.raises(ValueError, match="symmetric"):
-            generate_correlated_table("T", 10, 0.0, [[1.0, 0.5], [0.2, 1.0]], Domain(0, 10), seed=0)
+
+    def test_asymmetric_covariance_rejected(self):
+        # 2x2, finite, and Cholesky reads only the lower triangle, so only the
+        # symmetry check can refuse it.
+        cov = [[1.0, 0.5], [0.2, 1.0]]
+        np.linalg.cholesky(np.array(cov))
+        with pytest.raises(ValueError, match=r"^covariance must be a symmetric 2x2 matrix$"):
+            generate_correlated_table("T", 10, 0.0, cov, Domain(0, 10), seed=0)
 
     @pytest.mark.parametrize(
         "mu,cov",
@@ -516,19 +527,18 @@ class TestReaderRoutes:
         """Record, per route, whether each read through it gave a table."""
         routes = {"whole": [], "sidecar": []}
 
-        def spy(modules, name, route):
-            read = getattr(modules[0], name)
+        def spy(name, route):
+            read = getattr(tables, name)
 
             def spied(*args):
                 result = read(*args)
                 routes[route].append(result is not None)
                 return result
 
-            for module in modules:
-                monkeypatch.setattr(module, name, spied)
+            monkeypatch.setattr(tables, name, spied)
 
-        spy([tables], "_read_whole", "whole")
-        spy([tables, sampling], "read_sidecar", "sidecar")
+        spy("_read_whole", "whole")
+        spy("read_sidecar", "sidecar")
         return routes
 
     def test_written_files_take_the_sidecar_route(self, tmp_path, monkeypatch):
