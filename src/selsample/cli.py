@@ -20,13 +20,14 @@ from .harness import (
     METHODS,
     WORKLOAD_KINDS,
     WorkloadSpec,
+    check_experiment_options,
     generate_workload,
     per_query_csv,
     run_experiment,
     write_experiment_csv,
 )
 from .queries import SchemaWarning, class_params, parse_query
-from .sampling import create_sample, load_sample, save_sample
+from .sampling import check_sample_size, create_sample, load_sample, save_sample
 from .stats import StatsCatalog, build_stats, dump_stats
 from .tables import (
     Domain,
@@ -38,7 +39,7 @@ from .tables import (
     save_csv,
     write_file,
 )
-from .vcbounds import Sizing, bound_general, size_sample
+from .vcbounds import Sizing, bound_general, check_guarantee, size_sample
 
 
 def _parse_domain(args) -> Domain | None:
@@ -75,23 +76,18 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _sizing(args, u_m_b: tuple[int, int, int] | None = None, p: float | None = None) -> Sizing:
-    """The sample size at --epsilon and --delta for the class u_m_b, or,
-    without it, for --d-override or the class --u/--m/--b."""
-    d = None
-    if u_m_b is None:
-        given = (args.u, args.m, args.b)
-        if args.d_override is not None:
-            if given != (None, None, None):
-                raise ValueError("pass --d-override or --u/--m/--b, not both")
-            if args.d_override <= 0:
-                raise ValueError("--d-override must be positive")
-            d = args.d_override
-        elif None in given:
+def _sizing(args, p: float | None = None) -> Sizing:
+    """The sample size at --epsilon and --delta for --d-override or the class --u/--m/--b."""
+    given = (args.u, args.m, args.b)
+    if args.d_override is None:
+        if None in given:
             raise ValueError("need --d-override or all of --u/--m/--b to derive the dimension")
-        else:
-            u_m_b = given
-    return size_sample(args.epsilon, args.delta, u_m_b=u_m_b, d=d, p=p)
+        return size_sample(args.epsilon, args.delta, u_m_b=given, p=p)
+    if given != (None, None, None):
+        raise ValueError("pass --d-override or --u/--m/--b, not both")
+    if args.d_override <= 0:
+        raise ValueError("--d-override must be positive")
+    return size_sample(args.epsilon, args.delta, d=args.d_override, p=p)
 
 
 def cmd_build_sample(args) -> int:
@@ -103,6 +99,7 @@ def cmd_build_sample(args) -> int:
         given = [flag for flag, value in flags.items() if value is not None]
         if given:
             raise ValueError(f"pass --size or --auto with {', '.join(given)}, not both")
+        check_sample_size(args.size)
         size = args.size
     elif args.auto:
         size = _sizing(args).size
@@ -195,17 +192,16 @@ def cmd_experiment(args) -> int:
     spec = WorkloadSpec(
         m=args.workload_m, b=args.workload_b, count=args.count, kind=args.kind, seed=args.seed
     )
+    spec.check_table_count(len(args.table))
     methods = [m for m in args.methods.split(",") if m]
-    if args.sizes:
-        # No sizing formula reads --delta here, so check it as the automatic size does.
-        if not 0.0 < args.delta < 1.0:
-            raise ValueError("delta must be in (0, 1)")
-        sizes = [_size(part) for part in args.sizes.split(",") if part]
+    sizes = [_size(part) for part in args.sizes.split(",") if part] if args.sizes else None
+    check_guarantee(args.epsilon, args.delta)
+    check_experiment_options(methods, sizes, args.buckets, args.mcv)
     tables = _load_tables(args.table, domain)
     workload = generate_workload(spec, tables)
-    if not args.sizes:  # the automatic size needs the workload's class
+    if sizes is None:  # the automatic size needs the workload's class
         params = class_params(*workload)
-        sizes = [_sizing(args, (params.u, params.m, params.b)).size]
+        sizes = [size_sample(args.epsilon, args.delta, u_m_b=(params.u, params.m, params.b)).size]
     result = run_experiment(
         tables,
         workload,

@@ -34,15 +34,17 @@ from .queries import (
     SelectionClause,
     subplans,
 )
-from .sampling import create_sample
+from .sampling import check_sample_size, create_sample
 from .stats import StatsCatalog, build_stats, estimate_join
 from .tables import Table, write_file
+from .vcbounds import check_guarantee
 
 __all__ = [
     "WorkloadSpec",
     "ErrorSummary",
     "ExperimentResult",
     "METHODS",
+    "check_experiment_options",
     "generate_workload",
     "percent_error",
     "run_experiment",
@@ -83,6 +85,13 @@ class WorkloadSpec:
             raise ValueError(f"b must be at most {PREDICATE_LIMIT}")
         if self.kind not in WORKLOAD_KINDS:
             raise ValueError(f"kind must be one of {WORKLOAD_KINDS}")
+
+    def check_table_count(self, n: int) -> None:
+        """Raise ValueError if n tables are too few for this workload."""
+        if n < 1:
+            raise ValueError("workload generation needs at least one table")
+        if n < 2 and self.kind == "join-pair":
+            raise ValueError("join-pair workload needs two tables")
 
 
 @dataclass(frozen=True)
@@ -132,8 +141,7 @@ def generate_workload(spec: WorkloadSpec, tables: Sequence[Table]) -> list[Query
     predicate on the first table and a TRUE leaf on the second.
     """
     tables = list(tables)
-    if not tables:
-        raise ValueError("workload generation needs at least one table")
+    spec.check_table_count(len(tables))
     rng = np.random.default_rng(spec.seed)
     first = tables[0]
     if len(first.columns) < spec.m:
@@ -145,8 +153,6 @@ def generate_workload(spec: WorkloadSpec, tables: Sequence[Table]) -> list[Query
             SelectLeaf(first.name, _random_predicate(rng, first, spec.m, spec.b))
             for _ in range(spec.count)
         ]
-    if len(tables) < 2:
-        raise ValueError("join-pair workload needs two tables")
     second = tables[1]
     shared = [c for c in first.column_names if c in set(second.column_names)]
     if not shared:
@@ -206,6 +212,30 @@ def _summarize(
     )
 
 
+def check_experiment_options(
+    methods: Sequence[str], sample_sizes: Sequence[int] | None, stats_buckets: int, stats_mcv: int
+) -> None:
+    """Raise ValueError for an option run_experiment refuses. `sample_sizes`
+    is None where one size of at least 1 is still to be derived."""
+    if not methods:
+        raise ValueError("no methods requested")
+    for k, m in enumerate(methods):
+        if m not in METHODS:
+            raise ValueError(f"unknown method {m!r}; expected one of {METHODS}")
+        if m in methods[:k]:
+            raise ValueError(f"method {m!r} is given more than once")
+    if sample_sizes is not None:
+        for k, size in enumerate(sample_sizes):
+            if size in sample_sizes[:k]:
+                raise ValueError(f"sample size {size} is given more than once")
+        if set(methods) != {"histogram"}:  # a sample is drawn at each size
+            if not sample_sizes:
+                raise ValueError("sampling methods need at least one sample size")
+            for size in sample_sizes:
+                check_sample_size(size)
+    StatsCatalog(stats_buckets, stats_mcv)  # refuses out-of-range buckets or mcv
+
+
 def run_experiment(
     tables: Sequence[Table],
     workload: Sequence[QueryPlan],
@@ -227,25 +257,12 @@ def run_experiment(
     tables = list(tables)
     workload = list(workload)
     methods = list(methods)
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must be in (0, 1)")
+    sample_sizes = [int(s) for s in sample_sizes]
+    check_guarantee(epsilon)
+    check_experiment_options(methods, sample_sizes, stats_buckets, stats_mcv)
     if not workload:
         raise ValueError("empty workload")
-    if not methods:
-        raise ValueError("no methods requested")
-    for k, m in enumerate(methods):
-        if m not in METHODS:
-            raise ValueError(f"unknown method {m!r}; expected one of {METHODS}")
-        if m in methods[:k]:
-            raise ValueError(f"method {m!r} is given more than once")
     sampling_methods = [m for m in methods if m != "histogram"]
-    sample_sizes = [int(s) for s in sample_sizes]
-    if sampling_methods and not sample_sizes:
-        raise ValueError("sampling methods need at least one sample size")
-    for k, size in enumerate(sample_sizes):
-        if size in sample_sizes[:k]:
-            raise ValueError(f"sample size {size} is given more than once")
-    catalog = StatsCatalog(stats_buckets, stats_mcv)
 
     # Exact selectivity per (query, node), one count each.
     exact_nodes = [[exact_selectivity(tables, node) for node in subplans(plan)] for plan in workload]
@@ -266,6 +283,7 @@ def run_experiment(
             roots[-1].append(records[-1])
 
     if "histogram" in methods:
+        catalog = StatsCatalog(stats_buckets, stats_mcv)
         for t in tables:
             catalog.update(build_stats(t, stats_buckets, stats_mcv))
 

@@ -86,7 +86,8 @@ class ColumnMeta:
 class _Owned:
     """A new read-only, column-major (n, k) int64 matrix that nothing else
     holds, which a Table keeps as it is instead of copying: the matrix that
-    read_sidecar read, as read_table_file returns it."""
+    read_sidecar read, as read_table_file returns it, and the one that
+    sampling.create_sample gathered."""
 
     matrix: np.ndarray
 

@@ -27,6 +27,7 @@ __all__ = [
     "VcBoundReport",
     "SampleSizeSpec",
     "Sizing",
+    "check_guarantee",
     "growth_function",
     "bound_select_single",
     "bound_boolean_combination",
@@ -95,10 +96,7 @@ class SampleSizeSpec:
     c_prime: float = 0.5
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError("epsilon must be in (0, 1)")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must be in (0, 1)")
+        check_guarantee(self.epsilon, self.delta, self.p)
         # Written as "not x > 0" so that NaN is refused too.
         if not self.c > 0.0:
             raise ValueError("c must be positive")
@@ -106,8 +104,16 @@ class SampleSizeSpec:
             raise ValueError("c_prime must be positive")
         if not self.d > 0.0:
             raise ValueError("d must be positive")
-        if self.p is not None and not 0.0 < self.p < 1.0:
-            raise ValueError("p must be in (0, 1)")
+
+
+def check_guarantee(epsilon: float, delta: float | None = None, p: float | None = None) -> None:
+    """Raise ValueError unless epsilon, and delta and p where given, lie in (0, 1); NaN does not."""
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError("epsilon must be in (0, 1)")
+    if delta is not None and not 0.0 < delta < 1.0:
+        raise ValueError("delta must be in (0, 1)")
+    if p is not None and not 0.0 < p < 1.0:
+        raise ValueError("p must be in (0, 1)")
 
 
 def growth_function(d: int, n: int) -> int:

@@ -12,8 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from selsample import cli, tables
+from selsample import cli, harness, tables
 from selsample.cli import main
+from selsample.queries import SelectLeaf
 from selsample.sampling import load_sample
 from selsample.tables import read_csv
 
@@ -706,6 +707,10 @@ class TestRewrites:
         self._same_as_fresh(tmp_path, [experiment + ["--count", "30"]], experiment + ["--count", "5"])
 
 
+EXPERIMENT = ["experiment", "--workload-m", "1", "--workload-b", "2", "--out-dir", "e"]
+SIZES_10 = [*EXPERIMENT, "--sizes", "10"]
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -717,8 +722,27 @@ class TestRewrites:
          "b must be at most 100"),
         (["experiment", "--workload-m", "1", "--workload-b", "2", "--sizes", "10", "--delta", "2", "--out-dir", "e"],
          "delta must be in (0, 1)"),
+        ([*SIZES_10, "--epsilon", "nan"], "epsilon must be in (0, 1)"),
+        ([*SIZES_10, "--methods", "bogus"],
+         "unknown method 'bogus'; expected one of ('indexed', 'practitioner', 'histogram')"),
+        ([*SIZES_10, "--methods", ""], "no methods requested"),
+        ([*SIZES_10, "--methods", "indexed,indexed"], "method 'indexed' is given more than once"),
+        ([*SIZES_10, "--buckets", "0"], "histogram buckets must be between 1 and 10000, got 0"),
+        ([*SIZES_10, "--mcv", "-1"], "MCV capacity must be non-negative"),
+        ([*SIZES_10, "--kind", "join-pair"], "join-pair workload needs two tables"),
+        ([*EXPERIMENT, "--sizes", "0"], "sample size must be at least 1"),
+        ([*EXPERIMENT, "--sizes", "10,10"], "sample size 10 is given more than once"),
+        ([*EXPERIMENT, "--epsilon", "nan"], "epsilon must be in (0, 1)"),
+        ([*EXPERIMENT, "--delta", "2"], "delta must be in (0, 1)"),
+        (["build-sample", "--size", "0", "--out", "s"], "sample size must be at least 1"),
+        (["build-sample", "--size", "-3", "--out", "s"], "sample size must be at least 1"),
     ],
-    ids=["size with --u", "size with --auto", "sizes abc", "workload-b 101", "delta 2"],
+    ids=[
+        "size with --u", "size with --auto", "sizes abc", "workload-b 101", "delta 2",
+        "epsilon nan", "methods bogus", "methods empty", "methods repeated", "buckets 0", "mcv -1",
+        "join-pair with one table", "sizes 0", "sizes repeated", "automatic size, epsilon nan",
+        "automatic size, delta 2", "size 0", "size -3",
+    ],
 )
 def test_flags_are_checked_before_any_table_is_read(tmp_path, capsys, monkeypatch, argv, message):
     reads = []
@@ -733,6 +757,19 @@ def test_flags_are_checked_before_any_table_is_read(tmp_path, capsys, monkeypatc
     assert run([argv[0], "--table", "missing.csv", *argv[1:]]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert reads == [] and not any(tmp_path.iterdir())
+
+
+def test_a_size_below_1_is_refused_before_any_exact_count(tmp_path, uniform_csv, capsys, monkeypatch):
+    counts = []
+    monkeypatch.setattr(harness, "exact_selectivity", lambda *args: counts.append(args))
+    monkeypatch.chdir(tmp_path)
+    assert run([*EXPERIMENT, "--table", str(uniform_csv), "--sizes", "0"]) == 2
+    assert capsys.readouterr().err == "error: sample size must be at least 1\n"
+    assert not (tmp_path / "e").exists()
+    # So does the library.
+    with pytest.raises(ValueError, match="^sample size must be at least 1$"):
+        harness.run_experiment([read_csv(uniform_csv)], [SelectLeaf("t", None)], [0], 0.05, ["indexed"], 0)
+    assert counts == []
 
 
 class TestExperiment:

@@ -238,6 +238,8 @@ class TestRunExperiment:
         assert len(result.summaries) == 1
         assert result.summaries[0].sample_size is None
         assert result.per_query == []
+        # No sample is drawn, so a size below 1 is not refused either.
+        assert run_experiment([T100], workload, [0], 0.05, ["histogram"], seed=1) == result
 
     def test_rerun_is_identical(self):
         workload = generate_workload(WorkloadSpec(m=2, b=2, count=5, seed=5), [T100])

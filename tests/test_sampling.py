@@ -55,6 +55,23 @@ class TestCreateSample:
         both = create_sample(25, [a, b], seed=3)
         assert sample_table(solo, "A").rows == sample_table(both, "A").rows
 
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_sample_matrix_is_a_new_column_major_gather(self, data):
+        bases = []
+        for name in "ABC"[: data.draw(st.integers(1, 3))]:
+            n, k = data.draw(st.integers(1, 30)), data.draw(st.integers(1, 4))
+            values = data.draw(st.lists(st.integers(-9, 9), min_size=n * k, max_size=n * k))
+            bases.append(Table(name, [ColumnMeta(f"C{j}") for j in range(k)], np.reshape(values, (n, k))))
+        s = data.draw(st.integers(1, 3 * max(t.row_count for t in bases)))
+        seed = data.draw(st.integers(0, 2**32))
+        rng = np.random.default_rng(seed)
+        for base, sample in zip(bases, create_sample(s, bases, seed).tables):
+            m = sample.matrix()
+            assert m.flags.f_contiguous and not m.flags.writeable
+            assert not np.shares_memory(m, base.matrix())
+            assert np.array_equal(m, base.matrix()[rng.integers(0, base.row_count, size=s)])
+
     def test_binomial_fraction(self):
         # Half the base rows carry value 1; sampled fraction of 1s at s=10^4
         # stays within 0.02 (4 binomial standard deviations) of 0.5.
