@@ -32,7 +32,7 @@ from .stats import StatsCatalog, build_stats, dump_stats
 from .tables import (
     Domain,
     Table,
-    by_name,
+    check_distinct_names,
     generate_correlated_table,
     generate_uniform_table,
     read_csv,
@@ -51,8 +51,10 @@ def _parse_domain(args) -> Domain | None:
 
 
 def _load_tables(paths: list[str], domain: Domain | None) -> list[Table]:
-    """The tables of the CSV files, named after them; a repeated name is an error."""
-    return list(by_name(read_csv(p, domain=domain) for p in paths).values())
+    """The tables of the CSV files, each named after its file as read_csv
+    names it; a name given twice is refused before any file is read."""
+    check_distinct_names(Path(p).stem for p in paths)
+    return [read_csv(p, domain=domain) for p in paths]
 
 
 def cmd_gen_data(args) -> int:
@@ -85,8 +87,6 @@ def _sizing(args, p: float | None = None) -> Sizing:
         return size_sample(args.epsilon, args.delta, u_m_b=given, p=p)
     if given != (None, None, None):
         raise ValueError("pass --d-override or --u/--m/--b, not both")
-    if args.d_override <= 0:
-        raise ValueError("--d-override must be positive")
     return size_sample(args.epsilon, args.delta, d=args.d_override, p=p)
 
 

@@ -257,7 +257,7 @@ def run_experiment(
     tables = list(tables)
     workload = list(workload)
     methods = list(methods)
-    sample_sizes = [int(s) for s in sample_sizes]
+    sample_sizes = list(sample_sizes)
     check_guarantee(epsilon)
     check_experiment_options(methods, sample_sizes, stats_buckets, stats_mcv)
     if not workload:

@@ -14,7 +14,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .tables import ColumnMeta, Domain, Table, _Owned, by_name, read_table_file, save_csv, write_file
+from .tables import (
+    ColumnMeta,
+    Domain,
+    Table,
+    _Owned,
+    by_name,
+    check_distinct_names,
+    read_table_file,
+    save_csv,
+    write_file,
+)
 
 __all__ = [
     "SampleTable",
@@ -63,7 +73,10 @@ class SampleDatabase:
 
 
 def check_sample_size(s: int) -> None:
-    """Raise ValueError unless create_sample can draw samples of size s."""
+    """Raise ValueError unless create_sample can draw samples of size s: an
+    int or a numpy integer, not a bool, of at least 1."""
+    if isinstance(s, bool) or not isinstance(s, (int, np.integer)):
+        raise ValueError(f"sample size must be an integer, got {s!r}")
     if s < 1:
         raise ValueError("sample size must be at least 1")
 
@@ -180,6 +193,10 @@ def _read_manifest(mp: Path) -> tuple[int, int, list[dict]]:
         columns = entry["columns"]
         if not isinstance(columns, list) or not all(isinstance(c, str) for c in columns):
             raise ValueError(f"{mp}: table entry {k}: 'columns' is not a list of strings")
+    try:
+        check_distinct_names(entry["base"] for entry in tables)
+    except ValueError as exc:
+        raise ValueError(f"{mp}: {exc}") from None
     return ints[0], ints[1], tables
 
 

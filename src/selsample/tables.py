@@ -24,6 +24,7 @@ __all__ = [
     "ColumnMeta",
     "Table",
     "by_name",
+    "check_distinct_names",
     "CsvFormatError",
     "int_matrix",
     "read_int_csv",
@@ -186,14 +187,20 @@ class Table:
         return f"Table({self.name!r}, columns=[{cols}], rows={self.row_count})"
 
 
+def check_distinct_names(names: Iterable[str]) -> None:
+    """Raise ValueError where a table name is given twice."""
+    seen: set[str] = set()
+    for name in names:
+        if name in seen:
+            raise ValueError(f"table names must be distinct: {name!r} is given more than once")
+        seen.add(name)
+
+
 def by_name(tables: Iterable[Table]) -> dict[str, Table]:
     """The tables by name, in the given order; a name given twice is an error."""
-    found: dict[str, Table] = {}
-    for t in tables:
-        if t.name in found:
-            raise ValueError(f"table names must be distinct: {t.name!r} is given more than once")
-        found[t.name] = t
-    return found
+    tables = list(tables)
+    check_distinct_names(t.name for t in tables)
+    return {t.name: t for t in tables}
 
 
 def int_matrix(rows: np.ndarray | Iterable[Sequence[int]], k: int) -> np.ndarray:
@@ -716,12 +723,12 @@ def generate_correlated_table(
     if n < 0:
         raise ValueError("row count must be non-negative")
     cov = np.asarray(covariance, dtype=float)
-    if cov.shape != (2, 2):
+    finite = np.isfinite([mu, *cov.flat]).all()
+    # The shape first, then finiteness, then symmetry, which NaN would upset.
+    if cov.shape != (2, 2) or finite and not np.allclose(cov, cov.T):
         raise ValueError("covariance must be a symmetric 2x2 matrix")
-    if not np.isfinite([mu, *cov.flat]).all():
+    if not finite:
         raise ValueError("mu and the covariance entries must be finite")
-    if not np.allclose(cov, cov.T):
-        raise ValueError("covariance must be a symmetric 2x2 matrix")
     try:
         np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:

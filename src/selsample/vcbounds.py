@@ -125,12 +125,19 @@ def growth_function(d: int, n: int) -> int:
     return sum(math.comb(n, i) for i in range(d + 1))
 
 
+def _select_size(m: int, b: int) -> int:
+    """(m + 1) * b, the term of the selection bounds, for m and b of at least 1."""
+    if m < 1:
+        raise ValueError("m must be at least 1")
+    if b < 1:
+        raise ValueError("b must be at least 1")
+    return (m + 1) * b
+
+
 @_in_float_range
 def bound_select_single(m: int) -> VcBoundReport:
     """Bound for single-clause selections over a table with m columns: m + 1."""
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    return VcBoundReport(float(m + 1), "select_single")
+    return VcBoundReport(float(_select_size(m, 1)), "select_single")
 
 
 @_in_float_range
@@ -152,11 +159,7 @@ def bound_select_boolean(m: int, b: int) -> VcBoundReport:
     For b = 1 the single-clause bound m + 1 also applies and the minimum of
     the two is returned; a tighter value is always a valid upper bound.
     """
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    if b < 1:
-        raise ValueError("b must be at least 1")
-    x = (m + 1) * b
+    x = _select_size(m, b)
     value = 3.0 * x * _log2(x)
     if b == 1:
         value = min(value, float(m + 1))
@@ -204,13 +207,9 @@ def bound_general(u: int, m: int, b: int) -> VcBoundReport:
     """
     if u < 1:
         raise ValueError("u must be at least 1")
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    if b < 1:
-        raise ValueError("b must be at least 1")
     if u == 1:
         return bound_select_boolean(m, b)
-    x = (m + 1) * b
+    x = _select_size(m, b)
     inner_value = 3.0 * u * u * x * _log2(x)
     value = 4.0 * inner_value * _log2(inner_value)
     return VcBoundReport(value, "general")

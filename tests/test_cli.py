@@ -287,7 +287,7 @@ class TestBoundsAndSampleSize:
 
     def test_d_override_must_be_positive(self, capsys):
         assert run(["sample-size", "--d-override", "0"]) == 2
-        assert capsys.readouterr().err == "error: --d-override must be positive\n"
+        assert capsys.readouterr().err == "error: d must be positive\n"
 
     @pytest.mark.parametrize("given", [["--u", "1", "--m", "2", "--b", "5"], ["--b", "1"]], ids=["class", "b"])
     def test_d_override_with_a_class_exits_2(self, tmp_path, uniform_csv, capsys, given):
@@ -757,6 +757,33 @@ def test_flags_are_checked_before_any_table_is_read(tmp_path, capsys, monkeypatc
     assert run([argv[0], "--table", "missing.csv", *argv[1:]]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert reads == [] and not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build-sample", "--table", "t.csv", "--table", "sub/t.csv", "--size", "5", "--out", "s2"],
+        ["build-stats", "--table", "t.csv", "--table", "sub/t.csv", "--out", "st.txt"],
+        [*SIZES_10, "--table", "t.csv", "--table", "sub/t.csv"],
+        ["estimate", "--query", "SELECT * FROM t", "--sample", "s/manifest.json",
+         "--exact-against", "t.csv", "--exact-against", "sub/t.csv", "--out", "est.csv"],
+    ],
+    ids=["build-sample", "build-stats", "experiment", "estimate --exact-against"],
+)
+def test_a_repeated_table_name_is_refused_before_any_table_is_read(
+    tmp_path, uniform_csv, capsys, monkeypatch, argv
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "t.csv").write_bytes(uniform_csv.read_bytes())
+    assert run(["build-sample", "--table", "t.csv", "--size", "5", "--out", "s"]) == 0
+    files = sorted(tmp_path.rglob("*"))
+    reads = []
+    monkeypatch.setattr(cli, "read_csv", lambda path, domain=None: reads.append(path))
+    capsys.readouterr()
+    assert run(argv) == 2
+    assert capsys.readouterr().err == REPEATED_T
+    assert reads == [] and sorted(tmp_path.rglob("*")) == files
 
 
 def test_a_size_below_1_is_refused_before_any_exact_count(tmp_path, uniform_csv, capsys, monkeypatch):

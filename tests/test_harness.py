@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from conftest import make_table
@@ -208,6 +209,21 @@ class TestRunExperiment:
         workload = [SelectLeaf("T", None)]
         with pytest.raises(ValueError, match="sample size 20 is given more than once"):
             run_experiment([T100], workload, [10, 20, 30, 20], 0.05, ["indexed"], seed=1)
+
+    @pytest.mark.parametrize("sizes,bad", [([10.7, True], 10.7), ([10, True], True)], ids=["float", "bool"])
+    def test_a_size_that_is_not_an_integer_is_refused(self, sizes, bad):
+        # One rule and one message for the runner and the library.
+        workload = [SelectLeaf("T", None)]
+        with pytest.raises(ValueError) as runner:
+            run_experiment([T100], workload, sizes, 0.05, ["indexed"], seed=1)
+        with pytest.raises(ValueError) as library:
+            create_sample(bad, [T100], seed=1)
+        assert str(runner.value) == str(library.value) == f"sample size must be an integer, got {bad!r}"
+
+    def test_numpy_integer_sizes_are_taken(self):
+        result = run_experiment([T100], [SelectLeaf("T", None)], [np.int64(10)], 0.05, ["indexed"], seed=1)
+        assert [s.sample_size for s in result.summaries] == [10]
+        assert create_sample(np.int32(4), [T100], seed=1).tables[0].row_count == 4
 
     def test_repeated_method_rejected(self):
         workload = [SelectLeaf("T", None)]

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_table, sample_table
-from selsample import tables
+from selsample import sampling, tables
 from selsample.execution import estimate_all_nodes
 from selsample.queries import parse_query
 from selsample.sampling import SampleDatabase, SampleTable, create_sample, load_sample, save_sample
@@ -306,6 +306,22 @@ class TestManifestErrors:
         manifest = _good_manifest()
         manifest["tables"] *= count
         assert message in self._load(tmp_path, json.dumps(manifest))
+
+    def test_repeated_base_is_refused_before_any_sample_file_is_read(self, tmp_path, monkeypatch):
+        reads = []
+        read_table_file = sampling.read_table_file
+
+        def spied(path, *args):
+            reads.append(path)
+            return read_table_file(path, *args)
+
+        monkeypatch.setattr(sampling, "read_table_file", spied)
+        manifest = _good_manifest()
+        manifest["tables"].append({"base": "t", "file": "u.sample.csv", "columns": ["C1", "C2"]})
+        (tmp_path / "u.sample.csv").write_text("sampleindex,C1,C2\n1,1,2\n2,3,4\n3,5,6\n")
+        message = self._load(tmp_path, json.dumps(manifest))
+        assert message.endswith(": table names must be distinct: 't' is given more than once")
+        assert reads == []
 
     def test_tables_not_a_list(self, tmp_path):
         assert self._load(tmp_path, json.dumps(_manifest_with("tables", {"t": 1}))).endswith("'tables' is not a list")

@@ -293,6 +293,11 @@ class TestCorrelatedGenerator:
         with pytest.raises(ValueError, match=r"^covariance must be a symmetric 2x2 matrix$"):
             generate_correlated_table("T", 10, 0.0, cov, Domain(0, 10), seed=0)
 
+    @pytest.mark.parametrize("cov", [np.eye(3).tolist(), [1.0, 2.0]], ids=["3x3", "flat"])
+    def test_covariance_of_another_shape_rejected(self, cov):
+        with pytest.raises(ValueError, match=r"^covariance must be a symmetric 2x2 matrix$"):
+            generate_correlated_table("T", 10, 0.0, cov, Domain(0, 10), seed=0)
+
     @pytest.mark.parametrize(
         "mu,cov",
         [
@@ -837,6 +842,24 @@ class TestSidecar:
         assert tables.read_sidecar(p) is None
         want = ("CsvFormatError", f"{p}: cannot infer domains of an empty table; supply a domain")
         assert _read(p) == want == _csv_route(p)
+
+    def test_header_line_without_its_newline_takes_the_csv_route(self, tmp_path):
+        # The digest matches: write_sidecar wrote this CSV's bytes.
+        p = tmp_path / "t.csv"
+        p.write_bytes(b"C1,C2")
+        tables.write_sidecar(p, p.read_bytes(), np.zeros((0, 2), np.int64))
+        assert tables.read_sidecar(p) is None
+        empty = Table("t", [ColumnMeta("C1", Domain(0, 10)), ColumnMeta("C2", Domain(0, 10))], [])
+        want = ("CsvFormatError", f"{p}: cannot infer domains of an empty table; supply a domain")
+        assert [_read(p, Domain(0, 10)), _read(p)] == [empty, want]
+        assert [_csv_route(p, Domain(0, 10)), _csv_route(p)] == [empty, want]
+
+    def test_header_line_not_ascii_takes_the_csv_route(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_bytes("C1,Ç2\n1,2\n".encode())
+        tables.write_sidecar(p, p.read_bytes(), np.array([[1, 2]], np.int64))
+        assert tables.read_sidecar(p) is None
+        assert _read(p) == ("CsvFormatError", f"{p}: invalid column name in header: 'Ç2'") == _csv_route(p)
 
     def test_header_longer_than_the_hash_chunk(self, tmp_path, monkeypatch):
         routes = TestReaderRoutes._spy_routes(monkeypatch)
