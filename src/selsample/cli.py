@@ -33,6 +33,8 @@ from .tables import (
     Domain,
     Table,
     check_distinct_names,
+    check_table_name,
+    csv_table_name,
     generate_correlated_table,
     generate_uniform_table,
     read_csv,
@@ -52,8 +54,9 @@ def _parse_domain(args) -> Domain | None:
 
 def _load_tables(paths: list[str], domain: Domain | None) -> list[Table]:
     """The tables of the CSV files, each named after its file as read_csv
-    names it; a name given twice is refused before any file is read."""
-    check_distinct_names(Path(p).stem for p in paths)
+    names it; an invalid name or one given twice is refused before any file
+    is read."""
+    check_distinct_names([csv_table_name(p) for p in paths])
     return [read_csv(p, domain=domain) for p in paths]
 
 
@@ -61,6 +64,7 @@ def cmd_gen_data(args) -> int:
     domain = Domain(args.domain_lo, args.domain_hi)
     out = Path(args.out)
     name = args.name or out.stem
+    check_table_name(name)
     if args.kind == "uniform":
         table = generate_uniform_table(name, args.rows, args.cols, domain, args.seed)
     else:

@@ -36,6 +36,24 @@ No estimator builds a join result; each counts.
   slots per row and 1.0 against 4.2 ms at 16, and is still faster dense at
   32. Their c stops at 16 because the slots take memory: up to 128 bytes
   per row of the edge's two sides.
+  A 2-table plan whose join is an inequality needs no lookup, only its
+  total, which one sort gives (`_sort_count`). Both sides' kept values
+  become keys over the joint span [lo, hi] of the two join columns: a
+  parent value x the odd key 2(x - lo) + 1, a child value y the even key
+  2(y - lo), or 2(y - lo) + 2 where y must lie strictly below x, so ties
+  sort the right way. Sorted, each parent key follows the other parent keys
+  below it and the child keys of the values y below x, so the parent keys'
+  positions sum to the count plus k(k - 1) / 2 for k parent values.
+  O(rows log rows), and no span-sized memory. The keys are uint32 while
+  2 * (hi - lo + 1) + 2 < 2^32 and uint64 while it is below 2^64; a wider
+  span, with values near both ends of int64, takes the lookup. Measured on
+  the same VM, at 5e4 rows per side over a span of 2e5, the `<` total
+  takes 0.48 ms sorted against 0.93 ms dense. Measured slower: `=` as the
+  difference of two sort counts, 1.0 ms against 0.37 ms dense, so `=` and
+  `<>` keep the lookup; compressing both sides into one buffer before
+  making the keys, 0.86 against 0.80 ms for the whole count; and making
+  each side's keys on its own thread, 0.78 to 0.90 ms. Trees of three or
+  more leaves need each parent row's matches, so they keep the lookup.
   Each leaf's join values are gathered from its contiguous column with
   `np.compress`; a plan with a leaf that keeps no rows counts 0 without a
   lookup. Counts are exact integers: int64 while the product of the
@@ -308,6 +326,45 @@ def _match_total(
     return int(counts.sum(dtype=dtype))
 
 
+def _sort_counts(op: ComparisonOp, width: int, rows: int) -> bool:
+    """Whether _sort_count serves a 2-table join of `rows` values on both
+    sides over a joint span of `width` values: an inequality whose keys fit
+    uint64, on fewer rows than make the keys' position sum overflow int64."""
+    equality = op is ComparisonOp.EQ or op is ComparisonOp.NE
+    return not equality and 2 * width + 2 < 2**64 and rows < 3 * 10**9
+
+
+def _sort_count(pv: np.ndarray, cv: np.ndarray, op: ComparisonOp, lo: int, width: int) -> int:
+    """The number of pairs of a parent value x and a child value y with
+    x op y, for an inequality, from one sort of both sides' values as keys.
+
+    Every value lies in [lo, lo + width). x becomes the odd key 2(x - lo) + 1
+    and y the even key 2(y - lo), below x's iff y <= x, or 2(y - lo) + 2,
+    below x's iff y < x. Once sorted, a parent key's position counts the
+    parent keys and the child keys below it, so the positions of the k
+    parent keys sum to k(k - 1) / 2 plus the pairs y <= x (or y < x).
+    """
+    k = pv.size
+    keys = np.empty(k + cv.size, dtype=np.uint32 if 2 * width + 2 < 2**32 else np.uint64)
+    # Over a span wider than 2^63, x - lo wraps in int64; cast to the
+    # unsigned keys, it is exact again.
+    np.subtract(pv, lo, out=keys[:k], casting="unsafe")
+    np.subtract(cv, lo, out=keys[k:], casting="unsafe")
+    keys <<= 1
+    keys[:k] += 1
+    # Child values y < x for these two, y <= x for the others.
+    if op is ComparisonOp.GT or op is ComparisonOp.LE:
+        keys[k:] += 2
+    keys.sort()
+    # A bool mask: numpy finds the nonzero entries of a uint array several
+    # times slower.
+    odd = np.flatnonzero((keys & 1) != 0)
+    below = int(odd.sum(dtype=np.int64)) - k * (k - 1) // 2
+    if op is ComparisonOp.GT or op is ComparisonOp.GE:
+        return below
+    return k * cv.size - below
+
+
 class _Counter:
     """Counts plan results over one set of frames without building them.
 
@@ -375,6 +432,11 @@ class _Counter:
             if len(leaves) == 2:
                 # Any larger tree's root has two or more children; here the
                 # root's one child gives the count as the sum of its matches.
+                p_span = self.frames[leaves[p].table].span(p_col)
+                lo = min(span.lo, p_span.lo)
+                width = max(span.hi, p_span.hi) - lo + 1
+                if _sort_counts(op, width, pv.size + kv.size):
+                    return _sort_count(pv, kv, op, lo, width)
                 return _match_total(pv, kv, weights[k], op, span, dtype)
             counts = _matches(pv, kv, weights[k], op, span)
             weights[p] = counts.astype(dtype, copy=False) if weights[p] is None else weights[p] * counts

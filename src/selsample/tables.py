@@ -24,6 +24,8 @@ __all__ = [
     "ColumnMeta",
     "Table",
     "by_name",
+    "check_table_name",
+    "csv_table_name",
     "check_distinct_names",
     "CsvFormatError",
     "int_matrix",
@@ -110,8 +112,7 @@ class Table:
         columns: Sequence[ColumnMeta],
         rows: np.ndarray | Iterable[Sequence[int]],
     ):
-        if not _IDENT_RE.fullmatch(name):
-            raise ValueError(f"invalid table name: {name!r}")
+        check_table_name(name)
         columns = tuple(columns)
         if not columns:
             raise ValueError("a table needs at least one column")
@@ -185,6 +186,23 @@ class Table:
     def __repr__(self) -> str:
         cols = ",".join(self.column_names)
         return f"Table({self.name!r}, columns=[{cols}], rows={self.row_count})"
+
+
+def check_table_name(name: str) -> None:
+    """Raise ValueError unless the name is an identifier, as a table's must be."""
+    if not _IDENT_RE.fullmatch(name):
+        raise ValueError(f"invalid table name: {name!r}")
+
+
+def csv_table_name(path: str | Path) -> str:
+    """The name read_csv gives the table of a CSV file: the file's stem, which
+    check_table_name checks without reading the file."""
+    p = Path(path)
+    try:
+        check_table_name(p.stem)
+    except ValueError as exc:
+        raise CsvFormatError(f"{p}: {exc}") from None
+    return p.stem
 
 
 def check_distinct_names(names: Iterable[str]) -> None:
@@ -672,10 +690,11 @@ def read_csv(path: str | Path, domain: Domain | None = None) -> Table:
     (applied to every column) or each column's [min, max].
     """
     p = Path(path)
+    name = csv_table_name(p)
     names, rows = read_table_file(p)
     try:
-        return Table(p.stem, [ColumnMeta(n, domain) for n in names], rows)
-    except ValueError as exc:  # an invalid name, an out-of-domain value, no rows to span
+        return Table(name, [ColumnMeta(n, domain) for n in names], rows)
+    except ValueError as exc:  # an out-of-domain value, no rows to span
         raise CsvFormatError(f"{p}: {exc}") from None
 
 

@@ -786,6 +786,36 @@ def test_a_repeated_table_name_is_refused_before_any_table_is_read(
     assert reads == [] and sorted(tmp_path.rglob("*")) == files
 
 
+@pytest.mark.parametrize("command", ["build-sample", "build-stats"])
+def test_an_invalid_table_name_is_refused_before_any_table_is_read(
+    tmp_path, uniform_csv, capsys, monkeypatch, command
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t-1.csv").write_bytes(uniform_csv.read_bytes())
+    files = sorted(tmp_path.rglob("*"))
+    reads = []
+    read_table_file = tables.read_table_file
+    monkeypatch.setattr(tables, "read_table_file", lambda path, *args: reads.append(path) or read_table_file(path, *args))
+    out = ["--size", "5", "--out", "s"] if command == "build-sample" else ["--out", "st.txt"]
+    capsys.readouterr()
+    assert run([command, "--table", "t.csv", "--table", "t-1.csv", *out]) == 2
+    assert capsys.readouterr().err == "error: t-1.csv: invalid table name: 't-1'\n"
+    assert reads == [] and sorted(tmp_path.rglob("*")) == files
+
+
+@pytest.mark.parametrize("name_flags", [[], ["--name", "t-1"]], ids=["file stem", "--name"])
+@pytest.mark.parametrize("kind", ["uniform", "correlated"])
+def test_gen_data_refuses_an_invalid_table_name_before_drawing(tmp_path, capsys, monkeypatch, kind, name_flags):
+    draws = []
+    generate = getattr(cli, f"generate_{kind}_table")
+    monkeypatch.setattr(cli, f"generate_{kind}_table", lambda *args: draws.append(args) or generate(*args))
+    monkeypatch.chdir(tmp_path)
+    out = "t-1.csv" if not name_flags else "t.csv"
+    assert run(["gen-data", "--kind", kind, "--rows", "5", "--out", out, *name_flags]) == 2
+    assert capsys.readouterr().err == "error: invalid table name: 't-1'\n"
+    assert draws == [] and not any(tmp_path.iterdir())
+
+
 def test_a_size_below_1_is_refused_before_any_exact_count(tmp_path, uniform_csv, capsys, monkeypatch):
     counts = []
     monkeypatch.setattr(harness, "exact_selectivity", lambda *args: counts.append(args))

@@ -22,6 +22,7 @@ from selsample.execution import (
     _dense,
     _match_total,
     _matches,
+    _sort_count,
     estimate_all_nodes,
     exact_cardinality,
     exact_selectivity,
@@ -241,6 +242,71 @@ def test_two_table_count_with_full_and_empty_leaves(op):
                 assert count == 0
 
 
+_INEQUALITIES = [op for op in ALL_OPS if op not in (ComparisonOp.EQ, ComparisonOp.NE)]
+_NEAR_2_62 = 2**62 - 1_000
+
+
+def _inequality_tables(rng, case):
+    """Tables A and B with the case's C1 values, ties among them, and C2 in {0, 1}."""
+    if case == "ties":
+        a, b = rng.integers(0, 3, size=40), rng.integers(0, 3, size=30)
+    elif case == "negative":
+        a, b = rng.integers(-40, -20, size=40), rng.integers(-50, 0, size=30)
+    else:
+        # A joint span of 2**63 - 1999 values needs uint64 keys; one of 2**64
+        # values has none and takes the per-row lookup.
+        lo, hi = (-_NEAR_2_62, _NEAR_2_62) if case == "uint64 keys" else (_INT64_MIN, _INT64_MAX)
+        pool = np.array([lo, lo + 1, -1, 0, 1, hi - 1, hi], dtype=np.int64)
+        a, b = rng.choice(pool, size=40), rng.choice(pool, size=30)
+        a[0], b[0] = lo, hi
+    return [
+        Table(name, [ColumnMeta("C1"), ColumnMeta("C2")], np.column_stack((v, rng.integers(0, 2, size=v.size))))
+        for name, v in (("A", a), ("B", b))
+    ]
+
+
+@pytest.mark.parametrize("case", ["ties", "negative", "uint64 keys", "int64 ends"])
+@pytest.mark.parametrize("op", _INEQUALITIES, ids=lambda op: op.value)
+def test_two_table_inequality_counts_against_brute_force(monkeypatch, op, case):
+    rng = np.random.default_rng(61)
+    tables = _inequality_tables(rng, case)
+    a, b = (t.span("C1") for t in tables)
+    lo, hi = min(a.lo, b.lo), max(a.hi, b.hi)
+    sdb = create_sample(25, tables, seed=7)
+    # Full leaves, a filtered leaf, and a leaf that keeps no rows.
+    for where in ["", " AND A.C2 = 1", " AND B.C2 < 0"]:
+        plan = parse_query(f"SELECT * FROM A, B WHERE A.C1 {op.value} B.C1{where}", tables)
+        count, forms = _forms(monkeypatch, lambda: exact_cardinality(tables, plan))
+        assert count == len(brute_force_result(tables, plan))
+        if where == " AND B.C2 < 0":
+            assert count == 0 and forms == []
+        elif case == "int64 ends":
+            assert forms == []  # the sorted per-row lookup
+        else:
+            assert forms == [("sort", op, lo, hi - lo + 1)]
+        records = estimate_all_nodes(sdb, plan)
+        assert records[-1].est_practitioner == len(brute_force_result(list(sdb.tables), plan)) / 25**2
+
+
+@pytest.mark.parametrize("op", _INEQUALITIES, ids=lambda op: op.value)
+def test_sort_count_at_the_key_type_limits(op):
+    # The widest span of uint32 keys, the two narrowest of uint64 keys, and
+    # the widest span the sort count takes; values at both ends of each.
+    holds = _PY_OPS[op.value]
+    for width in (2**31 - 2, 2**31 - 1, 2**31, 2**63 - 2):
+        lo = -(width // 2)
+        hi = lo + width - 1
+        pv = np.array([lo, lo, lo + 1, 0, hi - 1, hi, hi], dtype=np.int64)
+        cv = np.array([lo, hi, hi, 1, 0, lo + 1, hi - 1, lo], dtype=np.int64)
+        assert execution._sort_counts(op, width, pv.size + cv.size)
+        want = sum(holds(x, y) for x in pv.tolist() for y in cv.tolist())
+        assert _sort_count(pv, cv, op, lo, width) == want
+        assert _sort_count(pv[:0], cv, op, lo, width) == _sort_count(pv, cv[:0], op, lo, width) == 0
+    assert not execution._sort_counts(op, 2**63 - 1, 2)
+    assert not execution._sort_counts(ComparisonOp.EQ, 10, 2)
+    assert not execution._sort_counts(ComparisonOp.NE, 10, 2)
+
+
 _SPAN_PLANS = [
     "SELECT * FROM A, B WHERE A.C1 = B.C1",
     "SELECT * FROM A, B WHERE A.C2 < B.C1 AND B.C2 >= 10",
@@ -249,19 +315,26 @@ _SPAN_PLANS = [
 
 
 def _forms(monkeypatch, count):
-    """count()'s result, and the (op, span) of every dense lookup it makes."""
+    """count()'s result, and the form of every lookup it makes: ("dense", op,
+    span) for a dense lookup, ("sort", op, lo, width) for a 2-table sort count."""
     calls = []
 
-    def spy(pv, cv, cw, op, domain):
-        calls.append((op, domain))
+    def dense_spy(pv, cv, cw, op, domain):
+        calls.append(("dense", op, domain))
         return dense_matches(pv, cv, cw, op, domain)
 
-    dense_matches = execution._dense_matches
-    monkeypatch.setattr(execution, "_dense_matches", spy)
+    def sort_spy(pv, cv, op, lo, width):
+        calls.append(("sort", op, lo, width))
+        return sort_count(pv, cv, op, lo, width)
+
+    dense_matches, sort_count = execution._dense_matches, execution._sort_count
+    monkeypatch.setattr(execution, "_dense_matches", dense_spy)
+    monkeypatch.setattr(execution, "_sort_count", sort_spy)
     try:
         return count(), calls
     finally:
         monkeypatch.setattr(execution, "_dense_matches", dense_matches)
+        monkeypatch.setattr(execution, "_sort_count", sort_count)
 
 
 def _declared(tables, domain):
@@ -281,7 +354,8 @@ def test_join_lookups_follow_the_values_not_the_declared_domain(monkeypatch, que
     count_tight, forms_tight = _forms(monkeypatch, lambda: exact_cardinality(tight, plan))
     count_wide, forms_wide = _forms(monkeypatch, lambda: exact_cardinality(wide, plan))
     assert count_tight == count_wide == len(brute_force_result(tight, plan))
-    # Every edge is dense: at most 51 values over up to 80 rows.
+    # Every edge is dense or, in a 2-table inequality join, sort-counted:
+    # at most 51 values over up to 80 rows.
     assert len(forms_tight) == len(leaf_tables(plan)) - 1
     assert forms_wide == forms_tight
 
